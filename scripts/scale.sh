@@ -14,6 +14,9 @@
 #     at least one scan burst (tiny's external scanner fleet), and the
 #     sketch layer must stay O(services) next to the RSS ceiling the
 #     suite already asserts.
+#  4. One scale1m scan with the adaptive prober (DESIGN.md §16): its
+#     ranking must keep it within 2x the step-2 fixed sweep's wall time,
+#     with the CLI's peak RSS under the 512 MB ceiling.
 #
 # Usage: scripts/scale.sh
 set -euo pipefail
@@ -71,5 +74,29 @@ if [ -z "$sketch_bytes" ] || [ "$sketch_bytes" -gt "$budget" ]; then
 fi
 echo "scale: streaming sketches $sketch_bytes bytes for $services services" \
   "(budget $budget)"
+
+echo "== scale: scale1m --prober=adaptive, time and RSS bound =="
+a1="$(mktemp)"
+trap 'rm -f "$out1" "$out2" "$s1" "$s2" "$s4" "$summary" "$a1"' EXIT
+# Peak RSS of the CLI process via getrusage(RUSAGE_CHILDREN) in a small
+# python3 wrapper (ru_maxrss is in KiB on Linux).
+rss_kb="$(python3 -c '
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+' ./build/tools/svcdisc_cli campaign --scenario scale1m --seeds 1 --scans 1 \
+  --threads 1 --prober=adaptive --json "$a1")"
+wall_of() { sed -n 's/.*"wall_sec": *\([0-9.]*\).*/\1/p' "$1" | head -n 1; }
+python3 - "$(wall_of "$out1")" "$(wall_of "$a1")" "$rss_kb" <<'PY'
+import sys
+fixed, adaptive = float(sys.argv[1]), float(sys.argv[2])
+rss_mb = int(sys.argv[3]) / 1024
+print(f"scale: adaptive {adaptive:.2f} s vs fixed {fixed:.2f} s "
+      f"({adaptive / fixed:.2f}x), peak RSS {rss_mb:.0f} MB")
+if adaptive > 2 * fixed:
+    sys.exit("scale: FAIL (adaptive prober slower than 2x the fixed sweep)")
+if rss_mb >= 512:
+    sys.exit("scale: FAIL (adaptive prober peak RSS reached 512 MB)")
+PY
 
 echo "scale: OK"

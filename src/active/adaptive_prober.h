@@ -13,6 +13,13 @@
 //     port popularity, per-/24 affinity with empirical-Bayes shrinkage,
 //     cross-port conditionals), updated online from every outcome.
 //
+// The grid is never materialized. The affinity term depends only on the
+// (/24, port) class's prior tally, so classes drain through cursors from
+// one queue entry per (port, tally) group; the conditional term, non-zero
+// only on addresses with a confirmed service, rides a small side heap of
+// (address, port) boosts. A pop costs O(log groups) amortized and memory
+// is O(targets + classes + opens) — DESIGN.md §16.
+//
 // Every TCP SYN-ACK then faces an LZR-style second stage before it may
 // count as a service: an immediate ACK + payload "data probe" that a
 // real service answers with data and a DPI middlebox / tarpit — which
@@ -27,10 +34,10 @@
 // every --threads count.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "active/priors.h"
@@ -62,8 +69,8 @@ class AdaptiveProber final : public ProberBase {
   /// Base counters plus the adaptive.* set: budget (gauge), budget_spent,
   /// yield_open, passive_seeds_probed, verify_probes_sent,
   /// verify_confirmed, middlebox_demotions, priors_entropy_millinats
-  /// (gauge). Only registered here, so engines running the fixed prober
-  /// export no adaptive keys.
+  /// (gauge), rank_pops, rank_repushes. Only registered here, so engines
+  /// running the fixed prober export no adaptive keys.
   void attach_metrics(util::MetricsRegistry& registry,
                       std::string_view prefix) override;
 
@@ -89,6 +96,10 @@ class AdaptiveProber final : public ProberBase {
   /// SYN-ACK endpoints that failed data-exchange verification.
   std::uint64_t demotions_total() const { return demotions_total_; }
   std::size_t hint_count() const { return hints_.size(); }
+  /// Ranking work: entries popped off the ranking heaps, and the subset
+  /// re-pushed because a lazy rescore found them stale.
+  std::uint64_t rank_pops_total() const { return rank_pops_total_; }
+  std::uint64_t rank_repushes_total() const { return rank_repushes_total_; }
 
   // sim::PacketSink — probe responses and verification replies.
   void on_packet(const net::Packet& p) override;
@@ -110,37 +121,119 @@ class AdaptiveProber final : public ProberBase {
     AdaptiveProber& owner_;
   };
 
-  struct Candidate {
-    net::Ipv4 addr{};
+  /// 256 bits indexed by an address's last octet: one /24's worth.
+  using OctetBits = std::array<std::uint64_t, 4>;
+  /// One (port, proto) column of the scan grid.
+  struct Slot {
     net::Port port{0};
     net::Proto proto{net::Proto::kTcp};
-    bool seeded{false};
   };
-  struct QEntry {
-    double score{0.0};
-    std::uint32_t index{0};
+  /// The distinct targets of one /24, in sweep order, are
+  /// order_[begin, end).
+  struct Subnet {
+    std::uint32_t begin{0};
+    std::uint32_t end{0};
   };
-  /// Max-heap: higher score first, lower candidate index on ties — the
-  /// tie order is the sweep order, so an untrained prior degenerates to
-  /// the fixed sweep truncated at the budget.
-  struct QLess {
-    bool operator()(const QEntry& a, const QEntry& b) const {
-      if (a.score != b.score) return a.score < b.score;
-      return a.index > b.index;
+  /// The ranking unit: every target of one /24 on one slot. A class's
+  /// affinity score is fixed by its prior tally, so it lives in the
+  /// TallyGroup of that tally and drains through a cursor over its
+  /// subnet's targets.
+  struct Class {
+    std::uint32_t group{kNoGroup};  ///< kNoGroup once exhausted
+    std::uint32_t stamp{0};         ///< bumps on leaving a group
+    std::uint32_t cursor{0};        ///< next position in the subnet
+    OctetBits probed{};             ///< targets already probed this scan
+  };
+  /// A class's entry in its group's min-heap, keyed by head position.
+  struct Member {
+    std::uint64_t pos{0};
+    std::uint32_t cls{0};
+    std::uint32_t stamp{0};
+  };
+  /// All classes of one slot sharing one (open, probed) tally: they
+  /// score alike at every moment, so the group is a single queue entry
+  /// that drains its classes in sweep order.
+  struct TallyGroup {
+    std::uint32_t slot{0};
+    ScanPriors::Tally tally{};
+    std::vector<Member> members;  ///< min-heap on pos; stale entries lazy
+    std::uint32_t live{0};        ///< classes currently in the group
+    std::uint32_t version{0};     ///< the live queue entry's version
+    bool queued{false};
+    std::uint64_t queued_pos{0};  ///< head position of the live entry
+  };
+  struct GroupKey {
+    std::uint32_t slot{0};
+    ScanPriors::Tally tally{};
+    bool operator==(const GroupKey&) const = default;
+  };
+  struct GroupKeyHash {
+    std::size_t operator()(const GroupKey& k) const noexcept {
+      return util::hash_mix((k.tally.probed << 20) ^ (k.tally.open << 40) ^
+                            k.slot);
     }
+  };
+  /// A ranking-queue entry. `pos` is the candidate's sweep position
+  /// (target index x slots + slot), the tie-break that makes an
+  /// untrained prior drain in sweep order. Group entries carry the group
+  /// id and version; boost entries carry the candidate's class as id.
+  struct Rank {
+    double score{0.0};
+    std::uint64_t pos{0};
+    std::uint32_t id{0};
+    std::uint32_t version{0};
+  };
+  /// A candidate picked for probing.
+  struct Pick {
+    PendingKey key{};
+    bool seeded{false};
   };
   struct VerifyState {
     std::size_t outcome{0};      ///< index into current_.outcomes
     util::TimePoint sent{};      ///< data-probe send time
   };
 
+  static constexpr std::uint32_t kNoGroup = ~std::uint32_t{0};
+
   void observe_passive(const net::Packet& p);
-  void build_candidates();
-  double score_of(const Candidate& c) const;
-  /// Lazy-rescore pop: re-push entries whose stored score went stale
-  /// until the top survives its own rescore. Stored scores only ever
-  /// decrease on re-push, so the loop terminates.
-  std::optional<std::uint32_t> pop_best();
+  void build_ranking();
+  void release_ranking();
+  std::optional<std::uint32_t> slot_of(net::Port port,
+                                       net::Proto proto) const;
+  std::optional<std::uint32_t> subnet_of(net::Ipv4 addr) const;
+  /// Index of `addr` in spec_.targets, or nullopt if it is no target.
+  std::optional<std::uint32_t> target_index(std::uint32_t subnet,
+                                            net::Ipv4 addr) const;
+  /// Head position of a class, advancing its cursor past targets a seed
+  /// or boost already probed; nullopt once exhausted.
+  std::optional<std::uint64_t> class_head(std::uint32_t cls);
+  /// Places a class in the group of its current prior tally.
+  void file_class(std::uint32_t cls);
+  void leave_group(Class& c);
+  std::uint32_t group_for(std::uint32_t slot, const ScanPriors::Tally& t);
+  void push_member(TallyGroup& g, Member m);
+  Member pop_member(TallyGroup& g);
+  void push_rank(std::vector<Rank>& queue, const Rank& r);
+  void pop_rank(std::vector<Rank>& queue);
+  /// Lazy rescore of a queue's top: re-pushes it at `fresh` (and returns
+  /// true) when that ranks behind the best of the rest.
+  bool stale_behind_runner_up(std::vector<Rank>& queue, const Rank& fresh);
+  double group_score(const TallyGroup& g) const;
+  /// Head of a group's best class (dropping stale members); nullopt
+  /// when the group has emptied.
+  std::optional<std::uint64_t> group_head(TallyGroup& g);
+  /// Fresh rank of the best group / boost, after lazy rescoring; its
+  /// entry is left on top of its queue.
+  std::optional<Rank> best_group();
+  std::optional<Rank> best_boost();
+  /// Queues addr's unprobed grid slots that a cross-port conditional
+  /// lifts.
+  void push_boosts(net::Ipv4 addr);
+  PendingKey key_at(std::uint64_t pos) const;
+  void mark_probed(const PendingKey& key);
+  /// Next candidate: seeds in observation order, then the better of the
+  /// best tally group and the best conditional boost.
+  std::optional<Pick> pop_best();
   void send_next(std::size_t machine);
   void send_verify(const net::Packet& syn_ack);
   void confirm_open(const PendingKey& key, std::size_t outcome_index);
@@ -159,13 +252,20 @@ class AdaptiveProber final : public ProberBase {
   util::FlatSet<PendingKey, PendingKeyHash> hints_;
   ScanPriors priors_;
 
-  // Per-scan state.
-  std::vector<Candidate> candidates_;
-  std::priority_queue<QEntry, std::vector<QEntry>, QLess> queue_;
-  /// Keys already probed this scan (pending or resolved); duplicate
-  /// candidates (a hint also on the grid) are skipped without spending
-  /// budget.
-  util::FlatSet<PendingKey, PendingKeyHash> probed_;
+  // Per-scan ranking state; O(targets + classes + opens), released when
+  // the last machine stops drawing.
+  std::vector<PendingKey> seeds_;  ///< hint snapshot, observation order
+  std::size_t next_seed_{0};
+  std::vector<Slot> slots_;
+  util::FlatMap<std::uint32_t, std::uint32_t> slot_index_;
+  std::vector<std::uint32_t> order_;  ///< distinct target indices by /24
+  std::vector<Subnet> subnets_;
+  util::FlatMap<std::uint32_t, std::uint32_t> subnet_index_;
+  std::vector<Class> classes_;  ///< subnet-major: subnet x slots + slot
+  std::vector<TallyGroup> groups_;
+  util::FlatMap<GroupKey, std::uint32_t, GroupKeyHash> group_index_;
+  std::vector<Rank> group_queue_;  ///< max-heap of live tally groups
+  std::vector<Rank> boost_queue_;  ///< max-heap of conditional boosts
   std::uint64_t budget_left_{0};
   std::vector<char> machine_done_;
   std::size_t machines_done_{0};
@@ -178,6 +278,10 @@ class AdaptiveProber final : public ProberBase {
   std::uint64_t verify_sent_total_{0};
   std::uint64_t verify_confirmed_total_{0};
   std::uint64_t demotions_total_{0};
+  std::uint64_t rank_pops_total_{0};
+  std::uint64_t rank_repushes_total_{0};
+  std::uint64_t rank_pops_flushed_{0};  ///< share already in the metrics
+  std::uint64_t rank_repushes_flushed_{0};
 
   // Adaptive metrics (null until attach_metrics).
   util::Gauge* m_budget_{nullptr};
@@ -188,6 +292,8 @@ class AdaptiveProber final : public ProberBase {
   util::Counter* m_verify_confirmed_{nullptr};
   util::Counter* m_demotions_{nullptr};
   util::Gauge* m_entropy_{nullptr};
+  util::Counter* m_rank_pops_{nullptr};
+  util::Counter* m_rank_repushes_{nullptr};
 };
 
 }  // namespace svcdisc::active

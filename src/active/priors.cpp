@@ -5,7 +5,7 @@
 
 namespace svcdisc::active {
 
-void ScanPriors::record(net::Ipv4 addr, net::Port port, net::Proto proto,
+bool ScanPriors::record(net::Ipv4 addr, net::Port port, net::Proto proto,
                         bool open) {
   const PortKey pk{port, proto};
   ++probes_;
@@ -31,12 +31,11 @@ void ScanPriors::record(net::Ipv4 addr, net::Port port, net::Proto proto,
       if (open) ++t.open;
     }
   }
-  if (open) {
-    std::vector<PortKey>& opens = open_ports_[addr];
-    if (std::find(opens.begin(), opens.end(), pk) == opens.end()) {
-      opens.push_back(pk);
-    }
-  }
+  if (!open) return false;
+  std::vector<PortKey>& opens = open_ports_[addr];
+  if (std::find(opens.begin(), opens.end(), pk) != opens.end()) return false;
+  opens.push_back(pk);
+  return true;
 }
 
 double ScanPriors::port_popularity(net::Port port, net::Proto proto) const {
@@ -44,14 +43,23 @@ double ScanPriors::port_popularity(net::Port port, net::Proto proto) const {
   return it == global_.end() ? 0.5 : laplace(it->second);
 }
 
-double ScanPriors::subnet_affinity(net::Ipv4 addr, net::Port port,
-                                   net::Proto proto) const {
-  const double pg = port_popularity(port, proto);
+ScanPriors::Tally ScanPriors::subnet_tally(net::Ipv4 addr, net::Port port,
+                                           net::Proto proto) const {
   const auto it = subnet_.find({subnet_of(addr), PortKey{port, proto}});
-  if (it == subnet_.end()) return pg;
-  const Tally& t = it->second;
+  return it == subnet_.end() ? Tally{} : it->second;
+}
+
+double ScanPriors::affinity(const Tally& t, net::Port port,
+                            net::Proto proto) const {
+  const double pg = port_popularity(port, proto);
+  if (t.probed == 0) return pg;
   return (static_cast<double>(t.open) + pg * shrinkage_) /
          (static_cast<double>(t.probed) + shrinkage_);
+}
+
+double ScanPriors::subnet_affinity(net::Ipv4 addr, net::Port port,
+                                   net::Proto proto) const {
+  return affinity(subnet_tally(addr, port, proto), port, proto);
 }
 
 double ScanPriors::conditional(net::Ipv4 addr, net::Port port,

@@ -32,8 +32,16 @@ class ScanPriors {
   explicit ScanPriors(double subnet_shrinkage = 8.0)
       : shrinkage_(subnet_shrinkage) {}
 
-  /// Records one resolved probe outcome.
-  void record(net::Ipv4 addr, net::Port port, net::Proto proto, bool open);
+  struct Tally {
+    std::uint64_t probed{0};
+    std::uint64_t open{0};
+    bool operator==(const Tally&) const = default;
+  };
+
+  /// Records one resolved probe outcome. Returns true when it confirmed
+  /// a service not yet known open on `addr` — the moment the cross-port
+  /// conditionals of addr's other ports rise.
+  bool record(net::Ipv4 addr, net::Port port, net::Proto proto, bool open);
 
   /// Laplace-smoothed global open rate of (port, proto): (open+1)/(probed+2).
   /// 0.5 before any evidence, so an untrained prior drains in sweep order.
@@ -43,6 +51,11 @@ class ScanPriors {
   /// popularity by `subnet_shrinkage` pseudo-probes.
   double subnet_affinity(net::Ipv4 addr, net::Port port,
                          net::Proto proto) const;
+  /// The (/24, port, proto) tally behind subnet_affinity — the whole
+  /// per-subnet state, so equal tallies on one port always score alike.
+  Tally subnet_tally(net::Ipv4 addr, net::Port port, net::Proto proto) const;
+  /// subnet_affinity of any /24 whose tally on (port, proto) is `t`.
+  double affinity(const Tally& t, net::Port port, net::Proto proto) const;
 
   /// Best cross-port conditional: max over this address's known-open
   /// services a of the Laplace-smoothed p(port open | a open). 0 when
@@ -60,6 +73,13 @@ class ScanPriors {
 
   std::uint64_t probes_recorded() const { return probes_; }
   std::uint64_t opens_recorded() const { return opens_; }
+
+  /// Visits every address with a confirmed open service, in first-open
+  /// order.
+  template <typename F>
+  void for_each_open_address(F&& f) const {
+    for (const auto& [addr, ports] : open_ports_) f(addr);
+  }
 
  private:
   struct PortKey {
@@ -100,11 +120,6 @@ class ScanPriors {
           static_cast<std::uint8_t>(k.b.proto));
     }
   };
-  struct Tally {
-    std::uint64_t probed{0};
-    std::uint64_t open{0};
-  };
-
   static std::uint32_t subnet_of(net::Ipv4 addr) { return addr.value() >> 8; }
   static double laplace(const Tally& t) {
     return (static_cast<double>(t.open) + 1.0) /

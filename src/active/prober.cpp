@@ -276,9 +276,8 @@ void Prober::send_next(std::size_t machine) {
     const PendingKey pkey{task.addr, task.port, task.proto};
     // A scan probes each (addr, port, proto) once, so insertion is
     // always fresh; duplicated targets in the spec are tolerated by
-    // keeping the first pending entry.
-    if (!pending_.contains(pkey)) {
-      pending_[pkey] = current_.outcomes.size();
+    // keeping the first pending entry. One lookup either way.
+    if (pending_.emplace(pkey, current_.outcomes.size()).second) {
       current_.outcomes.push_back(
           {{task.addr, task.proto, task.port}, ProbeStatus::kPending, now});
     }

@@ -17,6 +17,7 @@
 #include "core/engine.h"
 #include "core/scenario.h"
 #include "host/host.h"
+#include "host/universe.h"
 #include "net/packet.h"
 #include "passive/service_table.h"
 #include "passive/table_io.h"
@@ -105,6 +106,28 @@ TEST(ScanPriors, CrossPortConditionalLiftsCoResidentServices) {
   EXPECT_DOUBLE_EQ(priors.conditional(unknown, 80, Proto::kTcp), 0.0);
   EXPECT_GT(priors.score(ssh_host, 80, Proto::kTcp),
             priors.score(unknown, 80, Proto::kTcp));
+}
+
+TEST(ScanPriors, RecordReportsNewOpensAndTalliesDetermineAffinity) {
+  ScanPriors priors;
+  const Ipv4 a = Ipv4::from_octets(128, 125, 6, 1);
+  const Ipv4 b = Ipv4::from_octets(128, 125, 6, 2);
+  EXPECT_FALSE(priors.record(a, 80, Proto::kTcp, /*open=*/false));
+  EXPECT_TRUE(priors.record(a, 22, Proto::kTcp, /*open=*/true));
+  EXPECT_FALSE(priors.record(a, 22, Proto::kTcp, /*open=*/true));  // known
+  EXPECT_TRUE(priors.record(b, 22, Proto::kTcp, /*open=*/true));
+
+  const ScanPriors::Tally t = priors.subnet_tally(a, 22, Proto::kTcp);
+  EXPECT_EQ(t.probed, 3u);
+  EXPECT_EQ(t.open, 3u);
+  // Any /24 with the same tally scores the same affinity.
+  EXPECT_DOUBLE_EQ(priors.affinity(t, 22, Proto::kTcp),
+                   priors.subnet_affinity(b, 22, Proto::kTcp));
+  const Ipv4 fresh = Ipv4::from_octets(128, 125, 7, 1);
+  EXPECT_EQ(priors.subnet_tally(fresh, 22, Proto::kTcp),
+            ScanPriors::Tally{});
+  EXPECT_DOUBLE_EQ(priors.affinity({}, 22, Proto::kTcp),
+                   priors.port_popularity(22, Proto::kTcp));
 }
 
 TEST(ScanPriors, EntropyMeasuresOpenPortConcentration) {
@@ -323,6 +346,125 @@ TEST(AdaptiveProber, OutcomesTrainThePriorsOnline) {
   // Port 80 always opened, port 22 never did: the learned ranking.
   EXPECT_GT(prober.priors().port_popularity(80, Proto::kTcp),
             prober.priors().port_popularity(22, Proto::kTcp));
+}
+
+bool key_less(const passive::ServiceKey& a, const passive::ServiceKey& b) {
+  if (a.addr != b.addr) return a.addr.value() < b.addr.value();
+  if (a.proto != b.proto) return a.proto < b.proto;
+  return a.port < b.port;
+}
+
+TEST(AdaptiveProber, SeedsOnTheGridAreProbedOnce) {
+  // A passive seed that is also a grid candidate is probed once, first;
+  // its class cursor skips it later. Off-grid seeds add to the grid.
+  World w;
+  w.add_host(Ipv4::from_octets(128, 125, 1, 2)).add_service(tcp(22));
+  w.add_host(Ipv4::from_octets(128, 125, 1, 3)).add_service(tcp(8080));
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  prober.note_passive({Ipv4::from_octets(128, 125, 1, 2), Proto::kTcp, 22});
+  prober.note_passive({Ipv4::from_octets(128, 125, 1, 3), Proto::kTcp, 8080});
+  std::optional<ScanRecord> record;
+  prober.start_scan(small_spec({Ipv4::from_octets(128, 125, 1, 1),
+                                Ipv4::from_octets(128, 125, 1, 2),
+                                Ipv4::from_octets(128, 125, 1, 3)}),
+                    [&](const ScanRecord& r) { record = r; });
+  w.sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 3u * 2u + 1u);
+  EXPECT_EQ(record->outcomes[0].key.port, 22);
+  EXPECT_EQ(record->outcomes[1].key.port, 8080);
+  std::vector<passive::ServiceKey> keys;
+  for (const ProbeOutcome& o : record->outcomes) keys.push_back(o.key);
+  std::sort(keys.begin(), keys.end(), key_less);
+  EXPECT_EQ(std::adjacent_find(keys.begin(), keys.end()), keys.end());
+  EXPECT_EQ(prober.seeds_probed_total(), 2u);
+  EXPECT_EQ(prober.table().size(), 2u);
+}
+
+// ------------------------------------------------------ scale contracts --
+
+/// One /16 of stateless ScaleUniverse addresses probed on five ports by
+/// two prober machines: 327,680 first-stage probes per scan.
+struct ScaleWorld {
+  static Prefix block() { return Prefix(Ipv4::from_octets(11, 0, 0, 0), 16); }
+
+  ScaleWorld()
+      : network(sim, {block(), Prefix(Ipv4::from_octets(10, 1, 0, 0), 24)}) {
+    host::ScaleUniverseConfig cfg;
+    cfg.blocks = {block()};
+    cfg.seed = 0x5CA1EULL;
+    universe = std::make_unique<host::ScaleUniverse>(network, cfg);
+  }
+
+  static ScanSpec spec() {
+    ScanSpec spec;
+    for (const Ipv4 addr : block()) spec.targets.push_back(addr);
+    spec.tcp_ports = {80, 22, 443, 25, 8080};
+    spec.probes_per_sec = 16000.0;
+    return spec;
+  }
+
+  ProberConfig prober_config() const {
+    return {{Ipv4::from_octets(10, 1, 0, 1), Ipv4::from_octets(10, 1, 0, 2)}};
+  }
+
+  sim::Simulator sim;
+  sim::Network network;
+  std::unique_ptr<host::ScaleUniverse> universe;
+};
+
+std::vector<passive::ServiceKey> sorted_open(const ScanRecord& record) {
+  std::vector<passive::ServiceKey> open = record.open_services();
+  std::sort(open.begin(), open.end(), key_less);
+  return open;
+}
+
+TEST(AdaptiveScale, UnlimitedBudgetProbesTheWholeGridOnceAndMatchesTheSweep) {
+  // The ranking never materializes the grid, yet with no budget it must
+  // probe every (target, port) exactly once and open exactly the fixed
+  // sweep's services. Its work stays linear: a bounded number of lazy
+  // re-pushes per probe (a lazy heap over the whole grid re-pushes
+  // hundreds per probe on this world).
+  constexpr double kMaxRepushesPerProbe = 8.0;
+  const ScanSpec spec = ScaleWorld::spec();
+  const std::uint64_t grid = spec.targets.size() * spec.tcp_ports.size();
+
+  ScaleWorld wf;
+  Prober fixed(wf.network, wf.prober_config());
+  std::optional<ScanRecord> fixed_rec;
+  fixed.start_scan(spec, [&](const ScanRecord& r) { fixed_rec = r; });
+  wf.sim.run();
+
+  ScaleWorld wa;
+  AdaptiveProber adaptive(wa.network, wa.prober_config(), AdaptiveConfig{});
+  std::optional<ScanRecord> adaptive_rec;
+  adaptive.start_scan(spec, [&](const ScanRecord& r) { adaptive_rec = r; });
+  wa.sim.run();
+
+  ASSERT_TRUE(fixed_rec.has_value());
+  ASSERT_TRUE(adaptive_rec.has_value());
+  ASSERT_EQ(fixed_rec->outcomes.size(), grid);
+  EXPECT_EQ(adaptive_rec->outcomes.size(), grid);
+  EXPECT_EQ(adaptive.budget_spent_total(), grid);
+
+  std::vector<passive::ServiceKey> probed;
+  probed.reserve(grid);
+  for (const ProbeOutcome& o : adaptive_rec->outcomes) probed.push_back(o.key);
+  std::sort(probed.begin(), probed.end(), key_less);
+  EXPECT_EQ(std::adjacent_find(probed.begin(), probed.end()), probed.end());
+
+  const std::vector<passive::ServiceKey> fixed_open = sorted_open(*fixed_rec);
+  ASSERT_GT(fixed_open.size(), 100u);
+  EXPECT_EQ(sorted_open(*adaptive_rec), fixed_open);
+  EXPECT_EQ(adaptive.table().size(), fixed.table().size());
+
+  EXPECT_GT(adaptive.rank_pops_total(), 0u);
+  const double repushes_per_probe =
+      static_cast<double>(adaptive.rank_repushes_total()) /
+      static_cast<double>(grid);
+  EXPECT_LT(repushes_per_probe, kMaxRepushesPerProbe)
+      << adaptive.rank_repushes_total() << " re-pushes for " << grid
+      << " probes";
 }
 
 // ----------------------------------------------------- campaign contracts --
