@@ -77,14 +77,18 @@ TEST_P(PoolProperty, RandomizedLifecyclePreservesInvariants) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllShapes, PoolProperty,
-    ::testing::Values(PoolCase{AddressClass::kDhcp, true, 26, 1},
-                      PoolCase{AddressClass::kDhcp, true, 27, 2},
-                      PoolCase{AddressClass::kPpp, false, 26, 3},
-                      PoolCase{AddressClass::kVpn, false, 27, 4},
-                      PoolCase{AddressClass::kWireless, false, 28, 5},
-                      PoolCase{AddressClass::kDhcp, true, 28, 6}));
+// gtest names each case by hex-dumping the parameter, padding included.
+// Static-storage arrays are zero-initialized, padding too, so the names
+// are the same on every run; stack temporaries passed to Values() would
+// leak whatever garbage their padding held.
+constexpr PoolCase kPoolCases[] = {
+    {AddressClass::kDhcp, true, 26, 1},   {AddressClass::kDhcp, true, 27, 2},
+    {AddressClass::kPpp, false, 26, 3},   {AddressClass::kVpn, false, 27, 4},
+    {AddressClass::kWireless, false, 28, 5},
+    {AddressClass::kDhcp, true, 28, 6}};
+
+INSTANTIATE_TEST_SUITE_P(AllShapes, PoolProperty,
+                         ::testing::ValuesIn(kPoolCases));
 
 // ------------------------------------------------- scale / lazy pools --
 //
@@ -197,12 +201,13 @@ TEST_P(PoolSequence, ChurnMatchesEagerReferenceDrawForDraw) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, PoolSequence,
-    ::testing::Values(ScaleCase{false, 28, 11}, ScaleCase{true, 28, 12},
-                      ScaleCase{false, 24, 13}, ScaleCase{true, 24, 14},
-                      ScaleCase{false, 20, 15}, ScaleCase{true, 16, 16},
-                      ScaleCase{false, 16, 17}));
+// Static storage for the same stable-name reason as kPoolCases.
+constexpr ScaleCase kScaleCases[] = {
+    {false, 28, 11}, {true, 28, 12}, {false, 24, 13}, {true, 24, 14},
+    {false, 20, 15}, {true, 16, 16}, {false, 16, 17}};
+
+INSTANTIATE_TEST_SUITE_P(Sizes, PoolSequence,
+                         ::testing::ValuesIn(kScaleCases));
 
 // A /8 covers 16.7M addresses; the eager pool allocated all of them up
 // front. The lazy pool must construct in O(1) and stay O(churn) while
