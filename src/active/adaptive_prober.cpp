@@ -81,7 +81,7 @@ void AdaptiveProber::configure_feed(std::vector<net::Prefix> internal,
 }
 
 void AdaptiveProber::note_passive(const passive::ServiceKey& key) {
-  hints_.insert(PendingKey{key.addr, key.port, key.proto});
+  hints_.insert(key);
 }
 
 void AdaptiveProber::seed_from_table(const passive::ServiceTable& table) {
@@ -107,12 +107,12 @@ void AdaptiveProber::observe_passive(const net::Packet& p) {
       // service hint on whatever port it spoke from, configured scan
       // port or not (LZR: services live on unexpected ports).
       if (!p.flags.is_syn_ack() || !is_internal(p.src)) return;
-      hints_.insert(PendingKey{p.src, p.sport, net::Proto::kTcp});
+      hints_.insert({p.src, net::Proto::kTcp, p.sport});
       return;
     case net::Proto::kUdp:
       if (p.payload_len == 0 || !is_internal(p.src)) return;
       if (!udp_seed_ports_.contains(p.sport)) return;
-      hints_.insert(PendingKey{p.src, p.sport, net::Proto::kUdp});
+      hints_.insert({p.src, net::Proto::kUdp, p.sport});
       return;
     default:
       return;
@@ -121,7 +121,14 @@ void AdaptiveProber::observe_passive(const net::Packet& p) {
 
 void AdaptiveProber::start_scan(
     ScanSpec spec, std::function<void(const ScanRecord&)> on_complete) {
-  begin_scan_record(std::move(spec), std::move(on_complete));
+  // At most every seed plus the whole grid, capped by the budget.
+  const std::uint64_t grid = sweep_size(spec);
+  std::uint64_t max_probes = grid + hints_.size();
+  if (max_probes < grid) max_probes = ~std::uint64_t{0};
+  if (adaptive_.probe_budget != 0) {
+    max_probes = std::min(max_probes, adaptive_.probe_budget);
+  }
+  begin_scan_record(std::move(spec), std::move(on_complete), max_probes);
   reset_buckets();
   build_ranking();
   budget_left_ = adaptive_.probe_budget == 0 ? ~std::uint64_t{0}
@@ -146,7 +153,7 @@ void AdaptiveProber::build_ranking() {
   // Passive hints rank first, in first-observed order: something already
   // spoke to them. Snapshot at scan start; later hints wait a scan.
   seeds_.reserve(hints_.size());
-  for (const PendingKey& hint : hints_) seeds_.push_back(hint);
+  for (const passive::ServiceKey& hint : hints_) seeds_.push_back(hint);
   next_seed_ = 0;
 
   for (const net::Port port : spec_.tcp_ports) {
@@ -206,6 +213,7 @@ void AdaptiveProber::build_ranking() {
           ? grid
           : std::min<std::uint64_t>(adaptive_.probe_budget, grid);
   current_.outcomes.reserve(static_cast<std::size_t>(expect));
+  pending_.reserve(static_cast<std::size_t>(expect));
 }
 
 void AdaptiveProber::release_ranking() {
@@ -250,9 +258,9 @@ std::optional<std::uint32_t> AdaptiveProber::target_index(
   return std::nullopt;
 }
 
-ProberBase::PendingKey AdaptiveProber::key_at(std::uint64_t pos) const {
+passive::ServiceKey AdaptiveProber::key_at(std::uint64_t pos) const {
   const Slot& slot = slots_[pos % slots_.size()];
-  return {spec_.targets[pos / slots_.size()], slot.port, slot.proto};
+  return {spec_.targets[pos / slots_.size()], slot.proto, slot.port};
 }
 
 std::optional<std::uint64_t> AdaptiveProber::class_head(std::uint32_t cls) {
@@ -418,7 +426,7 @@ std::optional<AdaptiveProber::Rank> AdaptiveProber::best_group() {
 std::optional<AdaptiveProber::Rank> AdaptiveProber::best_boost() {
   while (!boost_queue_.empty()) {
     const Rank top = boost_queue_.front();
-    const PendingKey key = key_at(top.pos);
+    const passive::ServiceKey key = key_at(top.pos);
     if (has_octet(classes_[top.id].probed, key.addr)) {
       pop_rank(boost_queue_);  // its class cursor got there first
       continue;
@@ -447,7 +455,7 @@ void AdaptiveProber::push_boosts(net::Ipv4 addr) {
   }
 }
 
-void AdaptiveProber::mark_probed(const PendingKey& key) {
+void AdaptiveProber::mark_probed(const passive::ServiceKey& key) {
   const std::optional<std::uint32_t> subnet = subnet_of(key.addr);
   const std::optional<std::uint32_t> slot = slot_of(key.port, key.proto);
   if (subnet && slot) {
@@ -457,7 +465,7 @@ void AdaptiveProber::mark_probed(const PendingKey& key) {
 
 std::optional<AdaptiveProber::Pick> AdaptiveProber::pop_best() {
   if (next_seed_ < seeds_.size()) {
-    const PendingKey key = seeds_[next_seed_++];
+    const passive::ServiceKey key = seeds_[next_seed_++];
     mark_probed(key);
     return Pick{key, true};
   }
@@ -465,7 +473,7 @@ std::optional<AdaptiveProber::Pick> AdaptiveProber::pop_best() {
   const std::optional<Rank> boost = best_boost();
   if (boost && (!group || ranks_before(*boost, *group))) {
     pop_rank(boost_queue_);
-    const PendingKey key = key_at(boost->pos);
+    const passive::ServiceKey key = key_at(boost->pos);
     set_octet(classes_[boost->id].probed, key.addr);
     return Pick{key, false};
   }
@@ -475,7 +483,7 @@ std::optional<AdaptiveProber::Pick> AdaptiveProber::pop_best() {
   TallyGroup& g = groups_[group->id];
   const Member m = pop_member(g);
   Class& c = classes_[m.cls];
-  const PendingKey key = key_at(m.pos);
+  const passive::ServiceKey key = key_at(m.pos);
   set_octet(c.probed, key.addr);
   if (const std::optional<std::uint64_t> head = class_head(m.cls)) {
     push_member(g, {*head, m.cls, m.stamp});
@@ -502,10 +510,9 @@ void AdaptiveProber::send_next(std::size_t machine) {
     return;
   }
 
-  const PendingKey& key = pick->key;
-  pending_[key] = current_.outcomes.size();
-  current_.outcomes.push_back(
-      {{key.addr, key.proto, key.port}, ProbeStatus::kPending, now});
+  const passive::ServiceKey& key = pick->key;
+  pending_.assign(key, current_.outcomes.size());
+  current_.outcomes.push_back({key, ProbeStatus::kPending, now});
 
   const net::Ipv4 source = config_.source_addrs[machine];
   const net::Port sport = take_ephemeral();
@@ -546,7 +553,7 @@ void AdaptiveProber::send_verify(const net::Packet& syn_ack) {
   if (m_verify_sent_) m_verify_sent_->inc();
 }
 
-void AdaptiveProber::confirm_open(const PendingKey& key,
+void AdaptiveProber::confirm_open(const passive::ServiceKey& key,
                                   std::size_t outcome_index) {
   ProbeOutcome& outcome = current_.outcomes[outcome_index];
   outcome.status = ProbeStatus::kOpen;
@@ -558,7 +565,7 @@ void AdaptiveProber::confirm_open(const PendingKey& key,
   note_outcome(outcome);
 }
 
-void AdaptiveProber::demote(const PendingKey& key,
+void AdaptiveProber::demote(const passive::ServiceKey& key,
                             std::size_t outcome_index) {
   ProbeOutcome& outcome = current_.outcomes[outcome_index];
   outcome.status = ProbeStatus::kUnverified;
@@ -574,17 +581,15 @@ void AdaptiveProber::on_packet(const net::Packet& p) {
   if (!in_progress_) return;
   switch (p.proto) {
     case net::Proto::kTcp: {
-      const PendingKey key{p.src, p.sport, net::Proto::kTcp};
+      const passive::ServiceKey key{p.src, net::Proto::kTcp, p.sport};
       if (p.flags.is_syn_ack()) {
-        const auto it = pending_.find(key);
-        if (it == pending_.end()) return;  // late/duplicate response
         if (!adaptive_.verify) {
           resolve(key, ProbeStatus::kOpen);
           return;
         }
         // First stage answered; the verdict now rides on the data probe.
-        const std::size_t outcome_index = it->second;
-        pending_.erase(key);
+        const std::size_t outcome_index = pending_.erase(key);
+        if (outcome_index == PendingIndex::npos) return;  // late/duplicate
         if (m_responses_) m_responses_->inc();
         verifying_[key] = {outcome_index, p.time};
         send_verify(p);
@@ -605,13 +610,13 @@ void AdaptiveProber::on_packet(const net::Packet& p) {
     }
     case net::Proto::kUdp: {
       // A UDP reply *is* a completed data exchange; no second stage.
-      resolve({p.src, p.sport, net::Proto::kUdp}, ProbeStatus::kOpenUdp);
+      resolve({p.src, net::Proto::kUdp, p.sport}, ProbeStatus::kOpenUdp);
       return;
     }
     case net::Proto::kIcmp: {
       if (p.icmp_type == net::IcmpType::kDestUnreachable &&
           p.icmp_code == net::IcmpCode::kPortUnreachable) {
-        resolve({p.src, p.icmp_orig_dport, p.icmp_orig_proto},
+        resolve({p.src, p.icmp_orig_proto, p.icmp_orig_dport},
                 ProbeStatus::kClosed);
       }
       return;
@@ -656,7 +661,7 @@ void AdaptiveProber::finalize_scan() {
   // Verifications past the timeout demote; young ones (a straggler
   // SYN-ACK arrived near the deadline) push the finalize out and get
   // their full window.
-  std::vector<std::pair<PendingKey, std::size_t>> expired;
+  std::vector<std::pair<passive::ServiceKey, std::size_t>> expired;
   bool verify_outstanding = false;
   util::TimePoint next_deadline{};
   for (const auto& [key, v] : verifying_) {

@@ -185,7 +185,7 @@ class AdaptiveProber final : public ProberBase {
   };
   /// A candidate picked for probing.
   struct Pick {
-    PendingKey key{};
+    passive::ServiceKey key{};
     bool seeded{false};
   };
   struct VerifyState {
@@ -229,15 +229,16 @@ class AdaptiveProber final : public ProberBase {
   /// Queues addr's unprobed grid slots that a cross-port conditional
   /// lifts.
   void push_boosts(net::Ipv4 addr);
-  PendingKey key_at(std::uint64_t pos) const;
-  void mark_probed(const PendingKey& key);
+  passive::ServiceKey key_at(std::uint64_t pos) const;
+  void mark_probed(const passive::ServiceKey& key);
   /// Next candidate: seeds in observation order, then the better of the
   /// best tally group and the best conditional boost.
   std::optional<Pick> pop_best();
   void send_next(std::size_t machine);
   void send_verify(const net::Packet& syn_ack);
-  void confirm_open(const PendingKey& key, std::size_t outcome_index);
-  void demote(const PendingKey& key, std::size_t outcome_index);
+  void confirm_open(const passive::ServiceKey& key,
+                    std::size_t outcome_index);
+  void demote(const passive::ServiceKey& key, std::size_t outcome_index);
   void finalize_scan();
   void arm_finalize(util::TimePoint at);
 
@@ -249,12 +250,12 @@ class AdaptiveProber final : public ProberBase {
   util::FlatSet<net::Port> udp_seed_ports_;
   /// Accumulated passive hints, deduped, in first-observed order (the
   /// canonical producer order the seeding pass replays).
-  util::FlatSet<PendingKey, PendingKeyHash> hints_;
+  util::FlatSet<passive::ServiceKey, passive::ServiceKeyHash> hints_;
   ScanPriors priors_;
 
   // Per-scan ranking state; O(targets + classes + opens), released when
   // the last machine stops drawing.
-  std::vector<PendingKey> seeds_;  ///< hint snapshot, observation order
+  std::vector<passive::ServiceKey> seeds_;  ///< hint snapshot, in order
   std::size_t next_seed_{0};
   std::vector<Slot> slots_;
   util::FlatMap<std::uint32_t, std::uint32_t> slot_index_;
@@ -270,7 +271,8 @@ class AdaptiveProber final : public ProberBase {
   std::vector<char> machine_done_;
   std::size_t machines_done_{0};
   /// SYN-ACKed endpoints awaiting the data-probe verdict.
-  util::FlatMap<PendingKey, VerifyState, PendingKeyHash> verifying_;
+  util::FlatMap<passive::ServiceKey, VerifyState, passive::ServiceKeyHash>
+      verifying_;
 
   // Cross-scan totals.
   std::uint64_t budget_spent_total_{0};

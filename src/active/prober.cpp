@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/trace.h"
@@ -22,6 +24,39 @@ std::vector<passive::ServiceKey> ScanRecord::open_services() const {
     }
   }
   return open;
+}
+
+// ---------------------------------------------------------------------------
+// PendingIndex
+// ---------------------------------------------------------------------------
+
+void PendingIndex::clear() {
+  slots_ = {};
+  live_ = 0;
+  used_ = 0;
+}
+
+void PendingIndex::reserve(std::size_t inserts) {
+  const std::size_t capacity = util::detail::slot_capacity_for(inserts);
+  if (capacity > slots_.size()) rehash(capacity);
+}
+
+void PendingIndex::grow() {
+  ++regrowths_;
+  rehash(util::detail::slot_capacity_for(live_ + 1));
+}
+
+void PendingIndex::rehash(std::size_t capacity) {
+  const std::vector<std::uint32_t> old =
+      std::exchange(slots_, std::vector<std::uint32_t>(capacity, kEmpty));
+  const std::size_t mask = capacity - 1;
+  for (const std::uint32_t s : old) {
+    if (s == kEmpty || s == kTombstone) continue;
+    std::size_t i = hash(outcomes_[s - 1].key) & mask;
+    while (slots_[i] != kEmpty) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+  used_ = live_;
 }
 
 // ---------------------------------------------------------------------------
@@ -57,8 +92,16 @@ void ProberBase::attach_metrics(util::MetricsRegistry& registry,
 }
 
 void ProberBase::begin_scan_record(
-    ScanSpec spec, std::function<void(const ScanRecord&)> on_complete) {
+    ScanSpec spec, std::function<void(const ScanRecord&)> on_complete,
+    std::uint64_t max_probes) {
   if (in_progress_) throw std::logic_error("Prober: scan already in flight");
+  if (max_probes > PendingIndex::kMaxPositions) {
+    throw std::length_error("Prober: scan plans " +
+                            std::to_string(max_probes) +
+                            " probes, more than one scan can index (" +
+                            std::to_string(PendingIndex::kMaxPositions) +
+                            ")");
+  }
   in_progress_ = true;
   spec_ = std::move(spec);
   on_complete_ = std::move(on_complete);
@@ -70,6 +113,15 @@ void ProberBase::begin_scan_record(
                            static_cast<std::uint64_t>(current_.index) + 1,
                            current_.started.usec);
   pending_.clear();
+}
+
+std::uint64_t ProberBase::sweep_size(const ScanSpec& spec) {
+  const std::uint64_t targets = spec.targets.size();
+  const std::uint64_t ports = spec.tcp_ports.size() + spec.udp_ports.size();
+  if (ports != 0 && targets > ~std::uint64_t{0} / ports) {
+    return ~std::uint64_t{0};
+  }
+  return targets * ports;
 }
 
 void ProberBase::finish_scan_record() {
@@ -99,13 +151,12 @@ void ProberBase::reset_buckets() {
   }
 }
 
-void ProberBase::resolve(const PendingKey& key, ProbeStatus status) {
-  const auto it = pending_.find(key);
-  if (it == pending_.end()) return;  // late/duplicate response
-  ProbeOutcome& outcome = current_.outcomes[it->second];
+void ProberBase::resolve(const passive::ServiceKey& key, ProbeStatus status) {
+  const std::size_t pos = pending_.erase(key);
+  if (pos == PendingIndex::npos) return;  // late/duplicate response
+  ProbeOutcome& outcome = current_.outcomes[pos];
   outcome.status = status;
   outcome.when = network_.simulator().now();
-  pending_.erase(key);
   if (m_responses_) m_responses_->inc();
 
   if (status == ProbeStatus::kOpen || status == ProbeStatus::kOpenUdp) {
@@ -140,7 +191,8 @@ Prober::Prober(sim::Network& network, ProberConfig config)
 
 void Prober::start_scan(ScanSpec spec,
                         std::function<void(const ScanRecord&)> on_complete) {
-  begin_scan_record(std::move(spec), std::move(on_complete));
+  const std::uint64_t max_probes = sweep_size(spec);
+  begin_scan_record(std::move(spec), std::move(on_complete), max_probes);
   alive_hosts_.clear();
 
   const std::size_t machines = config_.source_addrs.size();
@@ -210,7 +262,12 @@ void Prober::plan_phase(bool ping, std::size_t target_count) {
     plan.task_count = plan.target_count * tasks_per_target;
     total += plan.task_count;
   }
-  if (!ping) current_.outcomes.reserve(current_.outcomes.size() + total);
+  if (!ping) {
+    // Ping phases leave no outcomes; a port phase presizes both the
+    // outcome vector and the pending index for every probe it plans.
+    current_.outcomes.reserve(current_.outcomes.size() + total);
+    pending_.reserve(total);
+  }
 }
 
 Prober::ProbeTask Prober::task_at(std::size_t machine,
@@ -273,13 +330,13 @@ void Prober::send_next(std::size_t machine) {
     network_.send(ping);
     if (m_pings_) m_pings_->inc();
   } else {
-    const PendingKey pkey{task.addr, task.port, task.proto};
+    const passive::ServiceKey key{task.addr, task.proto, task.port};
     // A scan probes each (addr, port, proto) once, so insertion is
     // always fresh; duplicated targets in the spec are tolerated by
-    // keeping the first pending entry. One lookup either way.
-    if (pending_.emplace(pkey, current_.outcomes.size()).second) {
-      current_.outcomes.push_back(
-          {{task.addr, task.proto, task.port}, ProbeStatus::kPending, now});
+    // keeping the first pending entry (a repeat sent after it resolved
+    // gets a fresh outcome). One lookup either way.
+    if (pending_.emplace(key, current_.outcomes.size())) {
+      current_.outcomes.push_back({key, ProbeStatus::kPending, now});
     }
 
     const net::Port sport = take_ephemeral();
@@ -324,7 +381,7 @@ void Prober::on_packet(const net::Packet& p) {
   if (!in_progress_) return;
   switch (p.proto) {
     case net::Proto::kTcp: {
-      const PendingKey key{p.src, p.sport, net::Proto::kTcp};
+      const passive::ServiceKey key{p.src, net::Proto::kTcp, p.sport};
       if (p.flags.is_syn_ack()) {
         resolve(key, ProbeStatus::kOpen);
       } else if (p.flags.rst()) {
@@ -333,7 +390,7 @@ void Prober::on_packet(const net::Packet& p) {
       return;
     }
     case net::Proto::kUdp: {
-      resolve({p.src, p.sport, net::Proto::kUdp}, ProbeStatus::kOpenUdp);
+      resolve({p.src, net::Proto::kUdp, p.sport}, ProbeStatus::kOpenUdp);
       return;
     }
     case net::Proto::kIcmp: {
@@ -341,7 +398,7 @@ void Prober::on_packet(const net::Packet& p) {
         if (pinging_) alive_hosts_.insert(p.src);
       } else if (p.icmp_type == net::IcmpType::kDestUnreachable &&
                  p.icmp_code == net::IcmpCode::kPortUnreachable) {
-        resolve({p.src, p.icmp_orig_dport, p.icmp_orig_proto},
+        resolve({p.src, p.icmp_orig_proto, p.icmp_orig_dport},
                 ProbeStatus::kClosed);
       }
       return;

@@ -96,6 +96,114 @@ struct ScanSpec {
   bool udp_service_probes{false};
 };
 
+/// The in-flight scan's unanswered probes, shared by both probers
+/// (DESIGN.md §16): one open-addressing table whose slots hold an
+/// outcome's position in the scan's outcome vector plus one (0 = empty,
+/// ~0 = tombstone). Keys are compared through `outcomes[pos].key`, so
+/// nothing is stored twice: a million-address sweep keeps ~10 M probes
+/// pending until its timeout at 4 bytes of slot each.
+///
+/// Probers presize the table once per scan for the probes they plan to
+/// send, so a scan never rehashes; inserts past the estimate still
+/// regrow it, counted by regrowths(). A probe's outcome must sit at its
+/// position before the next insert (a regrowth rehashes through the
+/// outcomes). References into the outcome vector are not held, so it may
+/// reallocate freely.
+class PendingIndex {
+ public:
+  /// Most outcome positions a scan may hold: position + 1 must fit in a
+  /// 32-bit slot without colliding with the tombstone.
+  static constexpr std::uint64_t kMaxPositions = 0xFFFFFFFEULL;
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  explicit PendingIndex(const std::vector<ProbeOutcome>& outcomes)
+      : outcomes_(outcomes) {}
+
+  std::size_t size() const { return live_; }
+  /// Drops every entry and frees the slots.
+  void clear();
+  /// Sizes an empty table for `inserts` insertions without regrowth.
+  void reserve(std::size_t inserts);
+
+  /// Position of `key`'s pending probe, or npos.
+  std::size_t find(const passive::ServiceKey& key) const {
+    const std::size_t slot = slot_of(key);
+    return slot == npos ? npos : slots_[slot] - 1;
+  }
+  /// Marks `key` pending at `pos` unless it already is pending (then
+  /// nothing changes). Returns true when inserted.
+  bool emplace(const passive::ServiceKey& key, std::size_t pos) {
+    return insert(key, pos, /*replace=*/false);
+  }
+  /// Marks `key` pending at `pos`, replacing an entry already pending.
+  void assign(const passive::ServiceKey& key, std::size_t pos) {
+    insert(key, pos, /*replace=*/true);
+  }
+  /// Removes `key`'s entry, leaving a tombstone, and returns the position
+  /// it held; npos (and no change) when `key` is not pending.
+  std::size_t erase(const passive::ServiceKey& key) {
+    const std::size_t slot = slot_of(key);
+    if (slot == npos) return npos;
+    const std::size_t pos = slots_[slot] - 1;
+    slots_[slot] = kTombstone;
+    --live_;
+    return pos;
+  }
+
+  /// Rehashes forced by inserts beyond the reserved capacity, over the
+  /// table's lifetime.
+  std::uint64_t regrowths() const { return regrowths_; }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0;
+  static constexpr std::uint32_t kTombstone = ~std::uint32_t{0};
+
+  static std::size_t hash(const passive::ServiceKey& key) {
+    return passive::ServiceKeyHash{}(key);
+  }
+  std::size_t slot_of(const passive::ServiceKey& key) const {
+    if (slots_.empty()) return npos;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t s = slots_[i];
+      if (s == kEmpty) return npos;
+      if (s != kTombstone && outcomes_[s - 1].key == key) return i;
+    }
+  }
+  bool insert(const passive::ServiceKey& key, std::size_t pos,
+              bool replace) {
+    if ((used_ + 1) * 4 > slots_.size() * 3) grow();
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t target = npos;  // first tombstone on the probe path
+    std::size_t i = hash(key) & mask;
+    for (;; i = (i + 1) & mask) {
+      const std::uint32_t s = slots_[i];
+      if (s == kEmpty) break;
+      if (s == kTombstone) {
+        if (target == npos) target = i;
+      } else if (outcomes_[s - 1].key == key) {
+        if (replace) slots_[i] = static_cast<std::uint32_t>(pos + 1);
+        return false;
+      }
+    }
+    if (target == npos) {
+      target = i;
+      ++used_;
+    }
+    slots_[target] = static_cast<std::uint32_t>(pos + 1);
+    ++live_;
+    return true;
+  }
+  void grow();
+  void rehash(std::size_t capacity);
+
+  const std::vector<ProbeOutcome>& outcomes_;
+  std::vector<std::uint32_t> slots_;  ///< power-of-two size, or empty
+  std::size_t live_{0};
+  std::size_t used_{0};  ///< live slots plus tombstones
+  std::uint64_t regrowths_{0};
+};
+
 struct ProberConfig {
   /// Internal source addresses; the target list is split evenly across
   /// them and the machines scan in parallel (paper: two machines for the
@@ -147,30 +255,24 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   virtual void attach_metrics(util::MetricsRegistry& registry,
                               std::string_view prefix);
 
+  /// Pending-index rehashes forced by a scan outgrowing its presized
+  /// table (0 when every scan's estimate held).
+  std::uint64_t pending_regrowths() const { return pending_.regrowths(); }
+
  protected:
   /// Timer tag above any realistic machine index.
   static constexpr std::uint64_t kTimerFinalize = ~std::uint64_t{0};
 
-  struct PendingKey {
-    net::Ipv4 addr{};
-    net::Port port{0};
-    net::Proto proto{net::Proto::kTcp};
-    bool operator==(const PendingKey&) const = default;
-  };
-  struct PendingKeyHash {
-    std::size_t operator()(const PendingKey& k) const noexcept {
-      // Scans walk (addr, port) sequentially; avalanche the packed
-      // identity so consecutive probes don't chain in the slot table.
-      return util::hash_mix((std::uint64_t{k.addr.value()} << 24) ^
-                            (std::uint64_t{k.port} << 8) ^
-                            static_cast<std::uint8_t>(k.proto));
-    }
-  };
-
   /// Opens the in-flight ScanRecord (index, start time, trace span).
-  /// Derived start_scan implementations call this exactly once.
+  /// Derived start_scan implementations call this exactly once, with an
+  /// upper bound on the scan's probes: a bound past
+  /// PendingIndex::kMaxPositions throws std::length_error before any
+  /// state changes.
   void begin_scan_record(ScanSpec spec,
-                         std::function<void(const ScanRecord&)> on_complete);
+                         std::function<void(const ScanRecord&)> on_complete,
+                         std::uint64_t max_probes);
+  /// Targets x (TCP + UDP ports) of `spec`, saturating.
+  static std::uint64_t sweep_size(const ScanSpec& spec);
   /// Closes the in-flight record: stamps finish time, appends to
   /// scans(), bumps metrics and fires on_complete.
   void finish_scan_record();
@@ -182,7 +284,7 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   /// Resolves the pending probe for `key` (no-op on late/duplicate
   /// responses). Open statuses record into the table and fire the
   /// discovery callbacks; every resolution reaches note_outcome().
-  void resolve(const PendingKey& key, ProbeStatus status);
+  void resolve(const passive::ServiceKey& key, ProbeStatus status);
   /// The open-probe bookkeeping shared by resolve() and the adaptive
   /// prober's verification path: table discovery + callbacks + counters.
   void record_open(const ProbeOutcome& outcome, bool udp);
@@ -203,7 +305,7 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   ScanSpec spec_;
   ScanRecord current_;
   std::function<void(const ScanRecord&)> on_complete_;
-  util::FlatMap<PendingKey, std::size_t, PendingKeyHash> pending_;
+  PendingIndex pending_{current_.outcomes};  // must follow current_
   std::vector<TokenBucket> buckets_;  // per machine pacing
   net::Port next_ephemeral_{40000};
 

@@ -1,6 +1,7 @@
 #include "core/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -106,6 +107,32 @@ class FieldReader {
     *out = v->as_number();
   }
 
+  /// A time span given in units of `unit_seconds` (days, hours). A
+  /// present value must be finite, positive (or zero, with `allow_zero`)
+  /// and fit an int64 microsecond count; `*out` is left alone when the
+  /// key is absent.
+  void read_span(const char* key, double unit_seconds, bool allow_zero,
+                 util::Duration* out) {
+    const util::JsonValue* v = take(key);
+    if (!v) return;
+    if (!v->is_number()) {
+      fail(key, "a number");
+      return;
+    }
+    const double seconds = v->as_number() * unit_seconds;
+    if (!std::isfinite(seconds) || !(seconds * 1e6 < 0x1p63)) {
+      fail(key, "a finite number within the int64 microsecond range");
+      return;
+    }
+    const util::Duration span = util::seconds_f(seconds);
+    if (span.usec < 0 || (!allow_zero && span.usec == 0)) {
+      fail(key, allow_zero ? "a number >= 0"
+                           : "a number > 0 (at least one microsecond)");
+      return;
+    }
+    *out = span;
+  }
+
   void read_bool(const char* key, bool* out) {
     const util::JsonValue* v = take(key);
     if (!v) return;
@@ -165,8 +192,8 @@ bool apply_campus_overrides(const util::JsonValue& obj,
                             workload::CampusConfig* cfg,
                             std::string* error) {
   FieldReader r(obj, "campus", error);
-  double duration_days = -1;
-  r.read_double("duration_days", &duration_days);
+  r.read_span("duration_days", 86400.0, /*allow_zero=*/false,
+              &cfg->duration);
   r.read_u32("static_addresses", &cfg->static_addresses);
   r.read_u32("static_plain", &cfg->static_plain);
   r.read_u32("ssh_only", &cfg->ssh_only);
@@ -211,23 +238,19 @@ bool apply_campus_overrides(const util::JsonValue& obj,
   r.read_double("scale_echo_frac", &cfg->scale_echo_frac);
   r.read_bool("scale_scan", &cfg->scale_scan);
   r.read_u32("scale_oneshot_contacts", &cfg->scale_oneshot_contacts);
-  if (!r.reject_unknown()) return false;
-  if (duration_days > 0) {
-    cfg->duration = util::seconds_f(duration_days * 86400.0);
-  }
-  return true;
+  return r.reject_unknown();
 }
 
 bool apply_engine_overrides(const util::JsonValue& obj, EngineConfig* cfg,
                             bool* scans_set, std::string* error) {
   FieldReader r(obj, "engine", error);
   int scans = -1;
-  double period_hours = -1;
-  double offset_hours = -1;
   std::string prober = "fixed";
   r.read_int("scans", &scans);
-  r.read_double("scan_period_hours", &period_hours);
-  r.read_double("first_scan_offset_hours", &offset_hours);
+  r.read_span("scan_period_hours", 3600.0, /*allow_zero=*/false,
+              &cfg->scan_period);
+  r.read_span("first_scan_offset_hours", 3600.0, /*allow_zero=*/true,
+              &cfg->first_scan_offset);
   r.read_bool("scanner_excluded_monitor", &cfg->scanner_excluded_monitor);
   r.read_string("prober", &prober);
   r.read_u64("probe_budget", &cfg->adaptive.probe_budget);
@@ -250,10 +273,6 @@ bool apply_engine_overrides(const util::JsonValue& obj, EngineConfig* cfg,
   if (scans >= 0) {
     cfg->scan_count = scans;
     *scans_set = true;
-  }
-  if (period_hours > 0) cfg->scan_period = util::seconds_f(period_hours * 3600);
-  if (offset_hours >= 0) {
-    cfg->first_scan_offset = util::seconds_f(offset_hours * 3600);
   }
   return true;
 }

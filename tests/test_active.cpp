@@ -7,8 +7,10 @@
 #include "active/rate_limiter.h"
 #include "active/scan_scheduler.h"
 #include "host/host.h"
+#include "net/packet.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/metrics.h"
 
 namespace svcdisc::active {
 namespace {
@@ -262,6 +264,129 @@ TEST_F(ProberFixture, EmptyScanCompletes) {
   sim.run();
   EXPECT_TRUE(completed);
   EXPECT_FALSE(prober.scan_in_progress());
+}
+
+// ------------------------------------------------ pending-probe semantics --
+
+TEST_F(ProberFixture, RepeatedTargetWhilePendingYieldsOneOutcome) {
+  // No host answers: the first probes are still pending when the repeat
+  // goes out, so the repeat keeps the first entry and adds no outcome.
+  const Ipv4 silent = Ipv4::from_octets(128, 125, 1, 9);
+  Prober prober(network, {{prober_addr}});
+  util::MetricsRegistry registry;
+  prober.attach_metrics(registry, "active");
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec_for({silent, silent}),
+                    [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(registry.counter("active.probes_tcp_sent").value(), 4u);
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->outcomes[0].key.port, 80);
+  EXPECT_EQ(record->outcomes[1].key.port, 22);
+  EXPECT_EQ(record->count(ProbeStatus::kFiltered), 2u);
+}
+
+TEST_F(ProberFixture, RepeatAfterResolutionGetsAFreshOutcome) {
+  // One probe per second against a 2 ms round trip: the first probe has
+  // resolved before the repeat is sent, which then counts afresh.
+  const Ipv4 addr = Ipv4::from_octets(128, 125, 1, 1);
+  add_host(addr).add_service(tcp(80));
+  ScanSpec spec = spec_for({addr, addr});
+  spec.tcp_ports = {80};
+  spec.probes_per_sec = 1.0;
+  Prober prober(network, {{prober_addr}});
+  int open_responses = 0;
+  prober.on_open_response = [&](const passive::ServiceKey&, util::TimePoint,
+                                bool) { ++open_responses; };
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 2u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_EQ(record->outcomes[1].status, ProbeStatus::kOpen);
+  EXPECT_LT(record->outcomes[0].when, record->outcomes[1].when);
+  EXPECT_EQ(open_responses, 2);
+  EXPECT_EQ(prober.table().size(), 1u);
+}
+
+TEST_F(ProberFixture, TarpitSynAckAfterTheTimeoutStillResolvesOpen) {
+  // A tarpit holds its SYN-ACK for 40 s, far past the 3 s timeout. The
+  // scan is still running then (60 targets at one probe per second), so
+  // the late answer finds its probe pending and counts as open.
+  const Ipv4 tarpit = Ipv4::from_octets(128, 125, 1, 1);
+  add_host(tarpit).set_syn_policy(host::SynPolicy::kTarpit,
+                                  util::seconds(40));
+  std::vector<Ipv4> targets = {tarpit};
+  for (int i = 0; i < 59; ++i) {
+    targets.push_back(
+        Ipv4::from_octets(128, 125, 2, static_cast<std::uint8_t>(i)));
+  }
+  ScanSpec spec = spec_for(targets);
+  spec.tcp_ports = {80};
+  spec.probes_per_sec = 1.0;
+  Prober prober(network, {{prober_addr}});
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  const ProbeOutcome& first = record->outcomes.at(0);
+  EXPECT_EQ(first.key.addr, tarpit);
+  EXPECT_EQ(first.status, ProbeStatus::kOpen);
+  EXPECT_GE(first.when - record->started, util::seconds(40));
+  EXPECT_GT(util::seconds(40), spec.timeout);
+  EXPECT_TRUE(prober.table().contains({tarpit, net::Proto::kTcp, 80}));
+}
+
+TEST_F(ProberFixture, SecondResponseAfterResolutionIsIgnored) {
+  // 1.1:80 answers with a SYN-ACK at 2 ms; a RST and a second SYN-ACK
+  // for the same endpoint, a second later and well inside the scan,
+  // change nothing.
+  const Ipv4 addr = Ipv4::from_octets(128, 125, 1, 1);
+  add_host(addr).add_service(tcp(80));
+  ScanSpec spec = spec_for({addr});
+  spec.tcp_ports = {80};
+  Prober prober(network, {{prober_addr}});
+  util::MetricsRegistry registry;
+  prober.attach_metrics(registry, "active");
+  int open_responses = 0;
+  prober.on_open_response = [&](const passive::ServiceKey&, util::TimePoint,
+                                bool) { ++open_responses; };
+  sim.at(kEpoch + seconds(1), [&] {
+    network.send(net::make_tcp(addr, 80, prober_addr, 40001,
+                               net::flags_rst()));
+    network.send(net::make_tcp(addr, 80, prober_addr, 40001,
+                               net::flags_syn_ack()));
+  });
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 1u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+  EXPECT_LT(record->outcomes[0].when, kEpoch + seconds(1));
+  EXPECT_EQ(registry.counter("active.responses_received").value(), 1u);
+  EXPECT_EQ(open_responses, 1);
+}
+
+TEST_F(ProberFixture, RejectsAScanTooLargeToIndex) {
+  // 65,537 targets x 65,536 ports is past the 2^32 - 2 outcome positions
+  // the pending index can hold. The scan is refused up front, before
+  // anything is reserved, and the prober stays usable.
+  const Ipv4 addr = Ipv4::from_octets(128, 125, 1, 1);
+  add_host(addr).add_service(tcp(80));
+  ScanSpec huge;
+  huge.targets.assign(65537, addr);
+  huge.tcp_ports.assign(65536, 80);
+  Prober prober(network, {{prober_addr}});
+  EXPECT_THROW(prober.start_scan(huge), std::length_error);
+  EXPECT_FALSE(prober.scan_in_progress());
+  prober.start_scan(spec_for({addr}));
+  sim.run();
+  ASSERT_EQ(prober.scans().size(), 1u);
+  EXPECT_EQ(prober.table().size(), 1u);
+  EXPECT_EQ(prober.pending_regrowths(), 0u);
 }
 
 // -------------------------------------------------------------- Scheduler --

@@ -296,6 +296,61 @@ TEST(AdaptiveProber, NoVerifyModeCountsSynAcksLikeTheFixedSweep) {
   EXPECT_EQ(prober.table().size(), 2u);
 }
 
+TEST(AdaptiveProber, SecondSynAckDuringVerificationDoesNotReResolve) {
+  // The middlebox SYN-ACKs at 2 ms and then stays silent, so its
+  // verification runs to the 3 s timeout. A duplicate SYN-ACK at 1 s
+  // finds no pending probe: no second response, no second data probe.
+  World w;
+  const Ipv4 addr = Ipv4::from_octets(128, 125, 1, 1);
+  w.add_host(addr).set_syn_policy(SynPolicy::kSynAckAll);
+  AdaptiveProber prober(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  util::MetricsRegistry registry;
+  prober.attach_metrics(registry, "active");
+  ScanSpec spec = small_spec({addr});
+  spec.tcp_ports = {80};
+  w.sim.at(util::kEpoch + util::seconds(1), [&] {
+    w.network.send(net::make_tcp(addr, 80, w.prober_addr, 40001,
+                                 net::flags_syn_ack()));
+  });
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  w.sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 1u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kUnverified);
+  EXPECT_EQ(prober.verify_sent_total(), 1u);
+  EXPECT_EQ(prober.demotions_total(), 1u);
+  EXPECT_EQ(registry.counter("active.responses_received").value(), 1u);
+  EXPECT_EQ(prober.table().size(), 0u);
+}
+
+TEST(AdaptiveProber, RejectsAnUnbudgetedScanTooLargeToIndex) {
+  // 65,537 x 65,536 candidates overflow the pending index's 32-bit
+  // positions unless a budget caps the probes. The repeats collapse to
+  // one distinct candidate, so the budgeted scan is cheap.
+  World w;
+  const Ipv4 addr = Ipv4::from_octets(128, 125, 1, 1);
+  w.add_host(addr).add_service(tcp(80));
+  ScanSpec huge;
+  huge.targets.assign(65537, addr);
+  huge.tcp_ports.assign(65536, 80);
+  huge.probes_per_sec = 100.0;
+
+  AdaptiveProber unbudgeted(w.network, {{w.prober_addr}}, AdaptiveConfig{});
+  EXPECT_THROW(unbudgeted.start_scan(huge), std::length_error);
+  EXPECT_FALSE(unbudgeted.scan_in_progress());
+
+  AdaptiveConfig cfg;
+  cfg.probe_budget = 1000;
+  AdaptiveProber budgeted(w.network, {{Ipv4::from_octets(10, 1, 0, 2)}}, cfg);
+  std::optional<ScanRecord> record;
+  budgeted.start_scan(huge, [&](const ScanRecord& r) { record = r; });
+  w.sim.run();
+  ASSERT_TRUE(record.has_value());
+  ASSERT_EQ(record->outcomes.size(), 1u);
+  EXPECT_EQ(record->outcomes[0].status, ProbeStatus::kOpen);
+}
+
 TEST(AdaptiveProber, PassiveSeedsOutrankTheGridAndExtendThePortSpace) {
   World w;
   // The seeded service listens on a port the scan's own list never
@@ -457,6 +512,9 @@ TEST(AdaptiveScale, UnlimitedBudgetProbesTheWholeGridOnceAndMatchesTheSweep) {
   ASSERT_GT(fixed_open.size(), 100u);
   EXPECT_EQ(sorted_open(*adaptive_rec), fixed_open);
   EXPECT_EQ(adaptive.table().size(), fixed.table().size());
+  // Both probers presized their pending index for the whole /16 sweep.
+  EXPECT_EQ(fixed.pending_regrowths(), 0u);
+  EXPECT_EQ(adaptive.pending_regrowths(), 0u);
 
   EXPECT_GT(adaptive.rank_pops_total(), 0u);
   const double repushes_per_probe =

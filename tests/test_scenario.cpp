@@ -99,6 +99,51 @@ TEST_F(ScenarioTest, WrongValueTypeNamesTheField) {
   EXPECT_NE(error.find("duration_days"), std::string::npos) << error;
 }
 
+TEST_F(ScenarioTest, OutOfRangeTimeSpansAreRejectedByName) {
+  // Each span must be finite, positive (the offset may be zero) and fit
+  // an int64 microsecond count. 1e300 days used to overflow to a
+  // negative duration and run; 0 or negative values were ignored.
+  const struct {
+    const char* block;
+    const char* field;
+    const char* value;
+  } cases[] = {
+      {"campus", "duration_days", "1e300"},
+      {"campus", "duration_days", "1e999"},  // parses as infinity
+      {"campus", "duration_days", "0"},
+      {"campus", "duration_days", "-1"},
+      {"campus", "duration_days", "1e-20"},  // under one microsecond
+      {"engine", "scan_period_hours", "0"},
+      {"engine", "scan_period_hours", "-12"},
+      {"engine", "scan_period_hours", "1e300"},
+      {"engine", "first_scan_offset_hours", "-100"},
+      {"engine", "first_scan_offset_hours", "-1"},
+      {"engine", "first_scan_offset_hours", "1e300"},
+  };
+  for (const auto& c : cases) {
+    const std::string field = std::string(c.block) + "." + c.field;
+    SCOPED_TRACE(field + " = " + c.value);
+    write_spec(std::string(R"({"preset": "tiny", ")") + c.block +
+               R"(": {")" + c.field + R"(": )" + c.value + "}}");
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(load_scenario(path(), &spec, &error));
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+}
+
+TEST_F(ScenarioTest, InRangeTimeSpansAreApplied) {
+  write_spec(R"({"preset": "tiny",
+    "campus": {"duration_days": 0.25},
+    "engine": {"scan_period_hours": 2, "first_scan_offset_hours": 0}})");
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(load_scenario(path(), &spec, &error)) << error;
+  EXPECT_EQ(spec.campus.duration, util::hours(6));
+  EXPECT_EQ(spec.engine.scan_period, util::hours(2));
+  EXPECT_EQ(spec.engine.first_scan_offset, util::Duration{});
+}
+
 TEST_F(ScenarioTest, UnknownPresetFails) {
   write_spec(R"({"preset": "huge"})");
   ScenarioSpec spec;
