@@ -3,7 +3,7 @@
 # test suite plus an explicit pass over the fault-injection label
 # (corrupt pcap corpus, impairment stage), then builds under TSan and
 # runs the concurrency-heavy tests (metrics registry, campaign runner,
-# ring buffer, sharded campaign pipeline).
+# sharded campaign pipeline).
 #
 # Usage: scripts/sanitize.sh [asan|tsan|all]   (default: all)
 #
@@ -48,6 +48,11 @@ run_asan() {
   # smoke, which asserts the recall-at-half-budget bar.
   echo "== ASan + UBSan: adaptive prober =="
   (cd build-asan && ctest --output-on-failure -j "$jobs" -L adaptive)
+  # The hotpath label covers the producer's index arithmetic: delivery
+  # lane rings (wraparound, growth, heap fallback) against a reference
+  # heap, the paged owner table, and the pair-keyed scan detector.
+  echo "== ASan + UBSan: producer hot path =="
+  (cd build-asan && ctest --output-on-failure -j "$jobs" -L hotpath)
   # The scale label runs the universe suite; SVCDISC_SCALE_SMOKE shrinks
   # its million-address campaign to one /16 block so the ASan pass stays
   # fast (the RSS ceiling is skipped under ASan anyway — shadow memory
@@ -60,12 +65,11 @@ run_tsan() {
   echo "== TSan: concurrency tests =="
   cmake -B build-tsan -S . -DSVCDISC_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$jobs" \
-    --target test_metrics test_campaign_runner test_ring_buffer \
+    --target test_metrics test_campaign_runner \
     test_trace test_provenance test_parallel_campaign test_streaming \
     test_adaptive
   ./build-tsan/tests/test_metrics
   ./build-tsan/tests/test_campaign_runner
-  ./build-tsan/tests/test_ring_buffer
   ./build-tsan/tests/test_trace
   ./build-tsan/tests/test_provenance
   # The sharded pipeline's producer/consumer window, worker pool, and

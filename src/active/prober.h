@@ -53,7 +53,12 @@ enum class ProbeStatus : std::uint8_t {
 struct ProbeOutcome {
   passive::ServiceKey key;
   ProbeStatus status{ProbeStatus::kPending};
-  util::TimePoint when{};  ///< send time
+  /// Send time while pending and for probes never answered (kFiltered,
+  /// kMaybeOpen, kNoHost). Once a response resolves the probe it is the
+  /// resolution time instead: the response's arrival, or under LZR
+  /// verification the confirm/demote time. record_open() and the report
+  /// read it as the discovery time.
+  util::TimePoint when{};
 };
 
 /// One completed scan's results.

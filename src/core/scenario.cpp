@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -77,11 +78,16 @@ class FieldReader {
     *out = static_cast<std::uint32_t>(v->as_integer());
   }
 
-  void read_int(const char* key, int* out) {
+  /// An integer in [min, INT_MAX]; anything else fails rather than
+  /// wrapping through the narrowing cast.
+  void read_int(const char* key, int* out,
+                int min = std::numeric_limits<int>::min()) {
     const util::JsonValue* v = take(key);
     if (!v) return;
-    if (!v->is_integer()) {
-      fail(key, "an integer");
+    if (!v->is_integer() || v->as_integer() < min ||
+        v->as_integer() > std::numeric_limits<int>::max()) {
+      fail(key, min == 0 ? "a non-negative integer within the int range"
+                         : "an integer within the int range");
       return;
     }
     *out = static_cast<int>(v->as_integer());
@@ -244,9 +250,9 @@ bool apply_campus_overrides(const util::JsonValue& obj,
 bool apply_engine_overrides(const util::JsonValue& obj, EngineConfig* cfg,
                             bool* scans_set, std::string* error) {
   FieldReader r(obj, "engine", error);
-  int scans = -1;
+  int scans = -1;  // stays -1 only when absent: read_int rejects < 0
   std::string prober = "fixed";
-  r.read_int("scans", &scans);
+  r.read_int("scans", &scans, /*min=*/0);
   r.read_span("scan_period_hours", 3600.0, /*allow_zero=*/false,
               &cfg->scan_period);
   r.read_span("first_scan_offset_hours", 3600.0, /*allow_zero=*/true,

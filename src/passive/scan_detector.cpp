@@ -23,7 +23,9 @@ void ScanDetector::roll_window(util::TimePoint t) {
   if (window != current_window_) {
     SVCDISC_TRACE_INSTANT("scan_detector.window_roll", t.usec);
     current_window_ = window;
-    window_state_.clear();
+    syn_pairs_.clear();
+    rst_pairs_.clear();
+    counts_.clear();
   }
 }
 
@@ -43,28 +45,26 @@ void ScanDetector::observe(const net::Packet& p) {
     // Inbound connection attempt: external source -> internal target.
     if (is_internal(p.src) || !is_internal(p.dst)) return;
     if (scanners_.contains(p.src)) return;  // already flagged
-    SourceState& state = window_state_[p.src];
-    state.targets.insert(p.dst);
-    if (state.targets.size() >= config_.target_threshold &&
-        state.rst_from.size() >= config_.rst_threshold) {
-      SVCDISC_TRACE_INSTANT("scan_detector.flagged", p.time.usec);
-      scanners_.insert(p.src);
-      window_state_.erase(p.src);
-      if (m_flagged_) m_flagged_->inc();
-    }
+    tally(syn_pairs_, p.src, p.dst, /*rst=*/false, p.time);
   } else if (p.flags.rst()) {
     // Refusal flowing back out: internal host -> external source.
     if (!is_internal(p.src) || is_internal(p.dst)) return;
     if (scanners_.contains(p.dst)) return;
-    SourceState& state = window_state_[p.dst];
-    state.rst_from.insert(p.src);
-    if (state.targets.size() >= config_.target_threshold &&
-        state.rst_from.size() >= config_.rst_threshold) {
-      SVCDISC_TRACE_INSTANT("scan_detector.flagged", p.time.usec);
-      scanners_.insert(p.dst);
-      window_state_.erase(p.dst);
-      if (m_flagged_) m_flagged_->inc();
-    }
+    tally(rst_pairs_, p.dst, p.src, /*rst=*/true, p.time);
+  }
+}
+
+void ScanDetector::tally(util::FlatSet<std::uint64_t>& pairs,
+                         net::Ipv4 source, net::Ipv4 internal, bool rst,
+                         util::TimePoint t) {
+  if (!pairs.insert(pair_key(source, internal))) return;
+  SourceCounts& counts = counts_[source];
+  ++(rst ? counts.rst_from : counts.targets);
+  if (counts.targets >= config_.target_threshold &&
+      counts.rst_from >= config_.rst_threshold) {
+    SVCDISC_TRACE_INSTANT("scan_detector.flagged", t.usec);
+    scanners_.insert(source);
+    if (m_flagged_) m_flagged_->inc();
   }
 }
 

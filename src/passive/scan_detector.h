@@ -56,22 +56,37 @@ class ScanDetector final : public sim::PacketObserver {
                       std::string_view prefix);
 
  private:
+  /// Window tallies of one unflagged source.
+  struct SourceCounts {
+    std::uint32_t targets{0};   ///< unique internal targets SYNed
+    std::uint32_t rst_from{0};  ///< unique internal hosts that RSTed it
+  };
+
   bool is_internal(net::Ipv4 addr) const;
   void roll_window(util::TimePoint t);
+  /// Records `internal` against `source` in `pairs` (SYN targets or RST
+  /// senders); only a new pair bumps `source`'s count and re-checks the
+  /// thresholds.
+  void tally(util::FlatSet<std::uint64_t>& pairs, net::Ipv4 source,
+             net::Ipv4 internal, bool rst, util::TimePoint t);
+  static std::uint64_t pair_key(net::Ipv4 source, net::Ipv4 internal) {
+    return (std::uint64_t{source.value()} << 32) | internal.value();
+  }
 
   ScanDetectorConfig config_;
   std::vector<net::Prefix> internal_;
   util::FlatSet<net::Ipv4> scanners_;
 
-  struct SourceState {
-    util::FlatSet<net::Ipv4> targets;
-    util::FlatSet<net::Ipv4> rst_from;
-  };
-  // Tumbling-window state: cleared at each window boundary. A burst scan
-  // (minutes) always lands inside one window; a scan straddling a
-  // boundary is still caught once its post-boundary portion crosses the
-  // thresholds, which the paper's own 12-hour bucketing also requires.
-  util::FlatMap<net::Ipv4, SourceState> window_state_;
+  // Tumbling-window state, cleared at each window boundary: the
+  // (source, target) and (source, RST sender) pairs seen so far plus
+  // each source's pair counts. A burst scan (minutes) always lands
+  // inside one window; a scan straddling a boundary is still caught once
+  // its post-boundary portion crosses the thresholds, which the paper's
+  // own 12-hour bucketing also requires. Pairs of a flagged source stay
+  // behind unread: flagged sources return before any lookup.
+  util::FlatSet<std::uint64_t> syn_pairs_;
+  util::FlatSet<std::uint64_t> rst_pairs_;
+  util::FlatMap<net::Ipv4, SourceCounts> counts_;
   std::int64_t current_window_{0};
   util::Counter* m_packets_{nullptr};
   util::Counter* m_flagged_{nullptr};

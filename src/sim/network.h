@@ -6,9 +6,19 @@
 // the border, and handed to the sink registered for the destination
 // address (if any; otherwise it is dropped silently, like a packet to an
 // unused address).
+//
+// Routing is direct-indexed: one scan of the internal prefixes answers
+// both is_internal() and which table holds the exact owner. Each
+// internal prefix of /8 or longer keeps its exact owners in a table
+// indexed by address offset, allocated a page (one /24) at a time on
+// first attach, so memory follows the attached /24s, not the prefix size
+// (the directory of page pointers is the only per-prefix cost).
+// Addresses outside every such table use a hash-map fallback.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -68,12 +78,39 @@ class Network final : public PacketEventTarget {
   std::uint64_t packets_sent() const { return packets_sent_; }
   std::uint64_t packets_delivered() const { return packets_delivered_; }
   std::uint64_t packets_dropped() const { return packets_dropped_; }
+  /// Bytes held by the exact-owner tables: page directories plus pages.
+  std::size_t owner_table_bytes() const;
 
  private:
+  /// Exact owners of one /24-aligned run of 256 addresses.
+  using OwnerPage = std::array<PacketSink*, 256>;
+  /// One internal prefix and its exact-owner pages (directory empty
+  /// until the first attach; none at all for prefixes shorter than /8).
+  struct Block {
+    net::Prefix prefix;
+    std::vector<std::unique_ptr<OwnerPage>> pages;
+  };
+  static constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+  /// Shortest prefix that gets an owner table (a /8 directory is 64 Ki
+  /// page pointers).
+  static constexpr int kMinTableBits = 8;
+
+  /// Index of the first internal prefix containing `addr`, or kNoBlock.
+  std::size_t locate(net::Ipv4 addr) const;
+  bool tabled(std::size_t block) const {
+    return block != kNoBlock && internal_[block].prefix.bits() >= kMinTableBits;
+  }
+  /// `addr`'s entry in tabled `block`, allocating its page when `create`;
+  /// nullptr when the page is absent and `create` is false.
+  PacketSink** table_slot(net::Ipv4 addr, std::size_t block, bool create);
+  /// Owner of `addr`, whose locate() result is `block`.
+  PacketSink* owner_in(net::Ipv4 addr, std::size_t block) const;
+
   Simulator& sim_;
-  std::vector<net::Prefix> internal_;
+  std::vector<Block> internal_;
   BorderRouter border_;
-  std::unordered_map<net::Ipv4, PacketSink*> owners_;
+  /// Exact owners outside every owner table (external addresses).
+  std::unordered_map<net::Ipv4, PacketSink*> other_owners_;
   /// Block owners, consulted after the exact map misses. A handful of
   /// entries at most (one per scale block), so a linear scan beats any
   /// trie here.

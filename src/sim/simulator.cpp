@@ -42,7 +42,7 @@ void Simulator::after_timer(util::Duration d, TimerTarget* target,
 void Simulator::after_packet(util::Duration d, PacketEventTarget* target,
                              const net::Packet& p, net::Ipv4 external,
                              bool crossed) {
-  queue_.push_packet(now_ + d, target, p, external, crossed);
+  queue_.push_packet_after(now_, d, target, p, external, crossed);
   note_push();
 }
 
@@ -70,22 +70,14 @@ void Simulator::dispatch_next() {
   // (time, target, external, crossed). Any event scheduled by the
   // handlers gets a later seq than everything absorbed here, so batching
   // preserves the exact serial order.
-  PacketEventTarget* const target = ev.pod.packet.target;
+  const PacketDelivery& head = ev.pod.packet;
   batch_.clear();
-  batch_.push_back(ev.pod.packet.packet);
-  while (!queue_.empty()) {
-    const Event& next = queue_.top();
-    if (next.time != ev.time || next.kind != Event::Kind::kPacket ||
-        next.pod.packet.target != target || next.external != ev.external ||
-        next.crossed != ev.crossed) {
-      break;
-    }
-    batch_.push_back(next.pod.packet.packet);
-    queue_.pop();
+  batch_.push_back(head.packet);
+  while (queue_.pop_packet_if(ev.time, head, &batch_)) {
   }
   processed_ += batch_.size();
   if (m_events_) m_events_->inc(batch_.size());
-  target->deliver_packets(batch_, ev.external, ev.crossed);
+  head.target->deliver_packets(batch_, head.external, head.crossed);
 }
 
 void Simulator::run_until(util::TimePoint t) {

@@ -38,7 +38,9 @@ class Simulator {
   /// Schedule a timer event `d` after now.
   void after_timer(util::Duration d, TimerTarget* target,
                    std::uint64_t tag = 0);
-  /// Schedule delivery of `p` to `target` `d` after now.
+  /// Schedule delivery of `p` to `target` `d` after now. Since now
+  /// never decreases, each delay's deliveries are already in (time, seq)
+  /// order, so they ride a FIFO lane of the queue instead of its heap.
   void after_packet(util::Duration d, PacketEventTarget* target,
                     const net::Packet& p, net::Ipv4 external, bool crossed);
 

@@ -339,6 +339,37 @@ TEST_F(ProberFixture, TarpitSynAckAfterTheTimeoutStillResolvesOpen) {
   EXPECT_TRUE(prober.table().contains({tarpit, net::Proto::kTcp, 80}));
 }
 
+TEST_F(ProberFixture, OutcomeWhenIsTheResolutionTimeOnceAnswered) {
+  // `when` starts as the send time and is overwritten when a response
+  // resolves the probe. The tarpit is probed first, at scan start (the
+  // token bucket starts full); its SYN arrives 1 ms later, is held 40 s,
+  // and the SYN-ACK takes 1 ms back. The silent target's probe leaves a
+  // second later (1 probe/s) and, never answered, keeps its send time.
+  const Ipv4 tarpit = Ipv4::from_octets(128, 125, 1, 1);
+  add_host(tarpit).set_syn_policy(host::SynPolicy::kTarpit,
+                                  util::seconds(40));
+  std::vector<Ipv4> targets = {tarpit};
+  for (int i = 0; i < 59; ++i) {
+    targets.push_back(
+        Ipv4::from_octets(128, 125, 2, static_cast<std::uint8_t>(i)));
+  }
+  ScanSpec spec = spec_for(targets);
+  spec.tcp_ports = {80};
+  spec.probes_per_sec = 1.0;
+  Prober prober(network, {{prober_addr}});
+  std::optional<ScanRecord> record;
+  prober.start_scan(spec, [&](const ScanRecord& r) { record = r; });
+  sim.run();
+  ASSERT_TRUE(record.has_value());
+  const ProbeOutcome& answered = record->outcomes.at(0);
+  const ProbeOutcome& silent = record->outcomes.at(1);
+  ASSERT_EQ(answered.status, ProbeStatus::kOpen);
+  ASSERT_EQ(silent.status, ProbeStatus::kFiltered);
+  EXPECT_EQ(answered.when,
+            record->started + seconds(40) + util::msec(2));
+  EXPECT_EQ(silent.when, record->started + seconds(1));
+}
+
 TEST_F(ProberFixture, SecondResponseAfterResolutionIsIgnored) {
   // 1.1:80 answers with a SYN-ACK at 2 ms; a RST and a second SYN-ACK
   // for the same endpoint, a second later and well inside the scan,

@@ -323,6 +323,128 @@ TEST(PassiveMonitor, ScannerExclusionSuppressesDiscovery) {
   EXPECT_EQ(monitor.table().size(), 1u);
 }
 
+// ------------------------------------------- ScanDetector differential --
+
+// The detector as it was before its window state became pair-keyed: two
+// FlatSets per source, erased when the source is flagged. Kept as the
+// oracle for the pair-keyed one.
+class PerSourceSetDetector {
+ public:
+  PerSourceSetDetector(ScanDetectorConfig config, std::vector<Prefix> internal)
+      : config_(config), internal_(std::move(internal)) {}
+
+  void observe(const Packet& p) {
+    if (p.proto != net::Proto::kTcp) return;
+    const std::int64_t window = util::floor_div(p.time.usec,
+                                                config_.window.usec);
+    if (window != current_window_) {
+      current_window_ = window;
+      window_state_.clear();
+    }
+    if (p.flags.is_syn_only()) {
+      if (is_internal(p.src) || !is_internal(p.dst)) return;
+      if (scanners_.contains(p.src)) return;
+      SourceState& state = window_state_[p.src];
+      state.targets.insert(p.dst);
+      check(p.src, state);
+    } else if (p.flags.rst()) {
+      if (!is_internal(p.src) || is_internal(p.dst)) return;
+      if (scanners_.contains(p.dst)) return;
+      SourceState& state = window_state_[p.dst];
+      state.rst_from.insert(p.src);
+      check(p.dst, state);
+    }
+  }
+  const util::FlatSet<Ipv4>& scanners() const { return scanners_; }
+
+ private:
+  struct SourceState {
+    util::FlatSet<Ipv4> targets;
+    util::FlatSet<Ipv4> rst_from;
+  };
+  bool is_internal(Ipv4 addr) const {
+    return std::any_of(internal_.begin(), internal_.end(),
+                       [addr](const Prefix& pf) { return pf.contains(addr); });
+  }
+  void check(Ipv4 source, const SourceState& state) {
+    if (state.targets.size() >= config_.target_threshold &&
+        state.rst_from.size() >= config_.rst_threshold) {
+      scanners_.insert(source);
+      window_state_.erase(source);
+    }
+  }
+
+  ScanDetectorConfig config_;
+  std::vector<Prefix> internal_;
+  util::FlatSet<Ipv4> scanners_;
+  util::FlatMap<Ipv4, SourceState> window_state_;
+  std::int64_t current_window_{0};
+};
+
+TEST(ScanDetectorDifferential, FlagsMatchThePerSourceSetDetector) {
+  const Prefix kSecond(Ipv4::from_octets(10, 9, 0, 0), 24);
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    ScanDetectorConfig cfg;
+    cfg.target_threshold = static_cast<std::uint32_t>(rng.below(14));
+    cfg.rst_threshold = static_cast<std::uint32_t>(rng.below(12));
+    cfg.window = util::minutes(static_cast<std::int64_t>(30 + rng.below(90)));
+    ScanDetector detector(cfg, {kCampus, kSecond});
+    PerSourceSetDetector oracle(cfg, {kCampus, kSecond});
+
+    // Small pools so pairs repeat and thresholds are crossed; internal
+    // hosts span both prefixes.
+    const auto external = [&] {
+      return Ipv4::from_octets(66, 1, 0, static_cast<std::uint8_t>(rng.below(16)));
+    };
+    const auto internal = [&] {
+      return rng.chance(0.8)
+                 ? Ipv4::from_octets(128, 125, 1,
+                                     static_cast<std::uint8_t>(rng.below(40)))
+                 : Ipv4::from_octets(10, 9, 0,
+                                     static_cast<std::uint8_t>(rng.below(8)));
+    };
+    util::TimePoint t = kEpoch - util::minutes(20);  // starts left of epoch
+    for (int i = 0; i < 6000; ++i) {
+      // Mostly forward in small steps (many window rolls); now and then
+      // a backwards jump, as an impaired tap's clock skew produces.
+      t = t + util::seconds(static_cast<std::int64_t>(rng.below(60)));
+      if (rng.chance(0.002)) t = t - util::hours(2);
+      Packet p;
+      switch (rng.below(8)) {
+        case 0: case 1: case 2:
+          p = net::make_tcp(external(), 1, internal(), 22, net::flags_syn());
+          break;
+        case 3: case 4: case 5:
+          p = net::make_tcp(internal(), 22, external(), 1, net::flags_rst());
+          break;
+        case 6:  // ignored shapes: internal SYN, inbound RST, SYN-ACK
+          p = rng.chance(0.5)
+                  ? net::make_tcp(internal(), 1, internal(), 22,
+                                  net::flags_syn())
+                  : net::make_tcp(external(), 1, internal(), 22,
+                                  rng.chance(0.5) ? net::flags_rst()
+                                                  : net::flags_syn_ack());
+          break;
+        default:
+          p = net::make_udp(external(), 53, internal(), 53, 40);
+          break;
+      }
+      p.time = t;
+      detector.observe(p);
+      oracle.observe(p);
+      // Same flag at the same packet: the counts agree after every one.
+      ASSERT_EQ(detector.scanner_count(), oracle.scanners().size())
+          << "packet " << i;
+    }
+    std::vector<Ipv4> got, want;
+    for (const Ipv4 a : detector.scanners()) got.push_back(a);
+    for (const Ipv4 a : oracle.scanners()) want.push_back(a);
+    EXPECT_EQ(got, want);  // same sources, same flagging order
+  }
+}
+
 // --------------------------------------- retroactive scanner cleaning --
 
 TEST(ServiceRecord, LastFlowExcludingCleansRetroactivelyFlaggedScanners) {

@@ -144,6 +144,50 @@ TEST_F(ScenarioTest, InRangeTimeSpansAreApplied) {
   EXPECT_EQ(spec.engine.first_scan_offset, util::Duration{});
 }
 
+TEST_F(ScenarioTest, OutOfRangeIntegersAreRejectedByName) {
+  // Integer fields must fit an int (4294967312 used to wrap to 16 and
+  // 4294967297 scans to 1), and an explicit scan count must be >= 0
+  // (-5 used to be accepted and then ignored as "use the preset").
+  const struct {
+    const char* block;
+    const char* field;
+    const char* value;
+  } cases[] = {
+      {"campus", "scale_block_bits", "4294967312"},
+      {"campus", "scale_block_bits", "-4294967296"},
+      {"engine", "scans", "4294967297"},
+      {"engine", "scans", "2147483648"},
+      {"engine", "scans", "-5"},
+      {"engine", "scans", "-1"},
+      {"engine", "scans", "2.5"},
+  };
+  for (const auto& c : cases) {
+    const std::string field = std::string(c.block) + "." + c.field;
+    SCOPED_TRACE(field + " = " + c.value);
+    write_spec(std::string(R"({"preset": "tiny", ")") + c.block +
+               R"(": {")" + c.field + R"(": )" + c.value + "}}");
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(load_scenario(path(), &spec, &error));
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+}
+
+TEST_F(ScenarioTest, InRangeIntegersAreApplied) {
+  write_spec(R"({"preset": "tiny",
+    "campus": {"scale_block_bits": 20},
+    "engine": {"scans": 0}})");
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(load_scenario(path(), &spec, &error)) << error;
+  EXPECT_EQ(spec.campus.scale_block_bits, 20);
+  EXPECT_EQ(spec.engine.scan_count, 0);
+
+  write_spec(R"({"preset": "tiny", "engine": {"scans": 2147483647}})");
+  ASSERT_TRUE(load_scenario(path(), &spec, &error)) << error;
+  EXPECT_EQ(spec.engine.scan_count, 2147483647);
+}
+
 TEST_F(ScenarioTest, UnknownPresetFails) {
   write_spec(R"({"preset": "huge"})");
   ScenarioSpec spec;

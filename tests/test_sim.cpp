@@ -4,7 +4,11 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <queue>
+#include <set>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "net/packet.h"
@@ -12,6 +16,7 @@
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace svcdisc::sim {
 namespace {
@@ -193,6 +198,244 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.events_processed(), 5u);
 }
 
+// -------------------------------------------------------- Delivery lanes --
+
+// Reference scheduler: every event in one (time, seq) heap, with the
+// simulator's coalescing rule (a packet event absorbs directly following
+// deliveries that share its time, target, external and crossed).
+class ReferenceSim {
+ public:
+  util::TimePoint now() const { return now_; }
+  std::size_t pending() const { return heap_.size(); }
+
+  void at(util::TimePoint t, std::function<void()> fn) {
+    Ev ev;
+    ev.fn = std::move(fn);
+    push(t < now_ ? now_ : t, std::move(ev));
+  }
+  void after(util::Duration d, std::function<void()> fn) {
+    at(now_ + d, std::move(fn));
+  }
+  void after_timer(util::Duration d, TimerTarget* target, std::uint64_t tag) {
+    Ev ev;
+    ev.timer = target;
+    ev.tag = tag;
+    push(now_ + d, std::move(ev));
+  }
+  void after_packet(util::Duration d, PacketEventTarget* target,
+                    const Packet& p, Ipv4 external, bool crossed) {
+    Ev ev;
+    ev.packet_target = target;
+    ev.packet = p;
+    ev.external = external;
+    ev.crossed = crossed;
+    push(now_ + d, std::move(ev));
+  }
+
+  void run() {
+    while (!heap_.empty()) {
+      Ev ev = heap_.top();
+      heap_.pop();
+      now_ = ev.time;
+      if (ev.packet_target == nullptr) {
+        if (ev.timer != nullptr) {
+          ev.timer->on_timer(ev.tag);
+        } else {
+          ev.fn();
+        }
+        continue;
+      }
+      std::vector<Packet> batch{ev.packet};
+      while (!heap_.empty()) {
+        const Ev& next = heap_.top();
+        if (next.time != ev.time || next.packet_target != ev.packet_target ||
+            next.external != ev.external || next.crossed != ev.crossed) {
+          break;
+        }
+        batch.push_back(next.packet);
+        heap_.pop();
+      }
+      ev.packet_target->deliver_packets(batch, ev.external, ev.crossed);
+    }
+  }
+
+ private:
+  struct Ev {
+    util::TimePoint time{};
+    std::uint64_t seq{0};
+    std::function<void()> fn;
+    TimerTarget* timer{nullptr};
+    std::uint64_t tag{0};
+    PacketEventTarget* packet_target{nullptr};
+    Packet packet{};
+    Ipv4 external{};
+    bool crossed{false};
+  };
+  struct Later {
+    bool operator()(const Ev& a, const Ev& b) const {
+      return std::tie(a.time, a.seq) > std::tie(b.time, b.seq);
+    }
+  };
+  void push(util::TimePoint t, Ev ev) {
+    ev.time = t;
+    ev.seq = next_seq_++;
+    heap_.push(std::move(ev));
+  }
+
+  std::priority_queue<Ev, std::vector<Ev>, Later> heap_;
+  util::TimePoint now_{};
+  std::uint64_t next_seq_{0};
+};
+
+// A self-scheduling random workload over any scheduler with the
+// Simulator's API. Every firing and every packet batch is logged with
+// the clock, and every schedule call logs the queue size, so two
+// schedulers agree on the log iff they agree on pop order, batches and
+// size(). Each firing draws the next schedules from one Rng, so a single
+// order difference also derails everything after it.
+template <typename Sim>
+class LaneWorkload final : public TimerTarget {
+ public:
+  // Seven packet delays, including 0, which exceeds the queue's lanes.
+  static constexpr std::array<std::int64_t, 7> kDelaysUs = {
+      0, 1000, 20000, 2000, 1000000, 3000, 20001};
+  static_assert(kDelaysUs.size() > EventQueue::kLanes);
+
+  LaneWorkload(Sim& sim, std::uint64_t seed, int budget)
+      : sim_(sim), rng_(seed), budget_(budget) {
+    targets_[0].owner = this;
+    targets_[1].owner = this;
+    targets_[1].id = 1;
+  }
+
+  void start(int n) {
+    for (int i = 0; i < n; ++i) schedule();
+  }
+  void on_timer(std::uint64_t tag) override { fired(1, tag); }
+
+  /// (clock, kind, id-or-size) records: kind 0 callback, 1 timer,
+  /// 2 packet, 3 batch header (id = target, size folded in), 4 pending.
+  std::vector<std::tuple<std::int64_t, int, std::uint64_t>> log;
+
+ private:
+  struct Target final : PacketEventTarget {
+    LaneWorkload* owner{nullptr};
+    std::uint64_t id{0};
+    void deliver_packets(std::span<Packet> packets, Ipv4 external,
+                         bool crossed) override {
+      owner->log.emplace_back(owner->sim_.now().usec, 3,
+                              (id << 32) | (packets.size() << 8) |
+                                  (external.value() << 1) | crossed);
+      for (const Packet& p : packets) owner->fired(2, p.seq);
+    }
+  };
+
+  void fired(int kind, std::uint64_t id) {
+    log.emplace_back(sim_.now().usec, kind, id);
+    const std::uint64_t spawn = rng_.below(3);
+    for (std::uint64_t i = 0; i < spawn; ++i) schedule();
+  }
+
+  void schedule() {
+    if (budget_ <= 0) return;
+    --budget_;
+    const std::uint64_t id = next_id_++;
+    // Coarse millisecond delays make cross-lane and lane/heap time ties
+    // common, so the seq tiebreak is exercised constantly.
+    const util::Duration d = msec(static_cast<std::int64_t>(rng_.below(4)));
+    switch (rng_.below(6)) {
+      case 0:
+        sim_.after(d, [this, id] { fired(0, id); });
+        break;
+      case 1:
+        // Clamped to now: lands at the current timestamp.
+        sim_.at(sim_.now() - msec(static_cast<std::int64_t>(rng_.below(5))),
+                [this, id] { fired(0, id); });
+        break;
+      case 2:
+        sim_.after_timer(d, this, id);
+        break;
+      default: {
+        Packet p = net::make_tcp(Ipv4(1), 1, Ipv4(2), 2, net::flags_syn());
+        p.seq = static_cast<std::uint32_t>(id);
+        const util::Duration delay =
+            util::usec(kDelaysUs[rng_.below(kDelaysUs.size())]);
+        sim_.after_packet(delay, &targets_[rng_.below(2)], p,
+                          Ipv4(static_cast<std::uint32_t>(rng_.below(2))),
+                          rng_.chance(0.5));
+        break;
+      }
+    }
+    log.emplace_back(sim_.now().usec, 4, sim_.pending());
+  }
+
+  Sim& sim_;
+  util::Rng rng_;
+  int budget_;
+  std::uint64_t next_id_{0};
+  std::array<Target, 2> targets_;
+};
+
+TEST(EventQueueLanes, RandomInterleavingsMatchAReferenceHeap) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulator sim;
+    LaneWorkload<Simulator> lanes(sim, seed, 3000);
+    ReferenceSim ref;
+    LaneWorkload<ReferenceSim> reference(ref, seed, 3000);
+    lanes.start(20);
+    reference.start(20);
+    sim.run();
+    ref.run();
+    ASSERT_EQ(lanes.log, reference.log);
+    EXPECT_EQ(sim.pending(), 0u);
+  }
+}
+
+TEST(EventQueueLanes, OutOfOrderPushesFallBackToTheHeap) {
+  // Drive the queue directly with a clock that jumps backwards, so lane
+  // tails are regularly later than new pushes. Each pop must still be
+  // the (time, seq) minimum of what is pending, heap timers included.
+  RecordingTarget target;
+  RecordingTimer timer;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    util::Rng rng(seed);
+    EventQueue q;
+    std::set<std::pair<std::int64_t, std::uint64_t>> pending;
+    std::uint64_t seq = 0;
+    const auto pop_and_check = [&] {
+      ASSERT_EQ(q.next_time().usec, pending.begin()->first);
+      const Event ev = q.pop();
+      ASSERT_EQ(std::make_pair(ev.time.usec, ev.seq), *pending.begin());
+      pending.erase(pending.begin());
+    };
+    for (int step = 0; step < 3000; ++step) {
+      if (!pending.empty() && rng.chance(0.3)) {
+        pop_and_check();
+      } else {
+        const util::TimePoint now =
+            kEpoch + msec(static_cast<std::int64_t>(rng.below(50)));
+        if (rng.chance(0.2)) {
+          q.push_timer(now, &timer, seq);
+          pending.emplace(now.usec, seq++);
+        } else {
+          const util::Duration d =
+              msec(static_cast<std::int64_t>(rng.below(6)));
+          q.push_packet_after(now, d, &target, Packet{}, Ipv4(0), false);
+          pending.emplace((now + d).usec, seq++);
+        }
+      }
+      ASSERT_EQ(q.size(), pending.size());
+    }
+    while (!pending.empty()) {
+      pop_and_check();
+      ASSERT_EQ(q.size(), pending.size());
+    }
+    EXPECT_TRUE(q.empty());
+  }
+}
+
 // ---------------------------------------------------------- BorderRouter --
 
 TEST(BorderRouter, StablePeeringChoice) {
@@ -368,6 +611,93 @@ TEST_F(NetworkFixture, InternalLatencyShorterThanExternal) {
   ASSERT_EQ(far_sink.received.size(), 1u);
   EXPECT_EQ(internal_sink.received[0].time, kEpoch + msec(1));
   EXPECT_EQ(far_sink.received[0].time, kEpoch + msec(50));
+}
+
+// ---------------------------------------------------- Network owner table --
+
+struct NetworkOwnerTable : NetworkFixture {};
+
+TEST_F(NetworkOwnerTable, ExactOwnerInsidePrefixBlockWins) {
+  SinkRecorder block, host;
+  network.attach_prefix(Prefix(Ipv4::from_octets(128, 125, 1, 0), 24),
+                        &block);
+  network.attach(internal_addr, &host);
+  EXPECT_EQ(network.owner(internal_addr), &host);
+  EXPECT_EQ(network.owner(Ipv4::from_octets(128, 125, 1, 2)), &block);
+  EXPECT_EQ(network.owner(Ipv4::from_octets(128, 125, 2, 1)), nullptr);
+  // Carving the host back out returns its address to the block.
+  network.detach(internal_addr, &host);
+  EXPECT_EQ(network.owner(internal_addr), &block);
+}
+
+TEST_F(NetworkOwnerTable, ReattachReplacesEarlierOwner) {
+  SinkRecorder first, second;
+  network.attach(internal_addr, &first);
+  network.attach(internal_addr, &second);
+  EXPECT_EQ(network.owner(internal_addr), &second);
+  network.send(net::make_tcp(external_addr, 1, internal_addr, 80,
+                             net::flags_syn()));
+  sim.run();
+  EXPECT_TRUE(first.received.empty());
+  EXPECT_EQ(second.received.size(), 1u);
+}
+
+TEST_F(NetworkOwnerTable, DetachByNonOwnerDoesNothing) {
+  SinkRecorder owner, stranger;
+  for (const Ipv4 addr : {internal_addr, external_addr}) {
+    network.attach(addr, &owner);
+    network.detach(addr, &stranger);
+    EXPECT_EQ(network.owner(addr), &owner);
+  }
+  // Detaching an address nobody attached, in a page never allocated,
+  // neither crashes nor allocates.
+  const std::size_t bytes = network.owner_table_bytes();
+  network.detach(Ipv4::from_octets(128, 125, 200, 1), &owner);
+  EXPECT_EQ(network.owner_table_bytes(), bytes);
+}
+
+TEST_F(NetworkOwnerTable, ExternalAttachStillRoutes) {
+  SinkRecorder client;
+  network.attach(external_addr, &client);
+  EXPECT_FALSE(network.is_internal(external_addr));
+  EXPECT_EQ(network.owner(external_addr), &client);
+  network.send(net::make_tcp(internal_addr, 80, external_addr, 1234,
+                             net::flags_syn_ack()));
+  sim.run();
+  ASSERT_EQ(client.received.size(), 1u);
+  EXPECT_EQ(client.received[0].time, kEpoch + msec(20));
+  network.detach(external_addr, &client);
+  EXPECT_EQ(network.owner(external_addr), nullptr);
+}
+
+TEST_F(NetworkOwnerTable, InternalSlash8AllocatesOnePagePlusDirectory) {
+  Network wide(sim, {Prefix(Ipv4::from_octets(10, 0, 0, 0), 8)});
+  EXPECT_EQ(wide.owner_table_bytes(), 0u);
+  SinkRecorder a, b;
+  wide.attach(Ipv4::from_octets(10, 200, 3, 4), &a);
+  // One /24 page of sink pointers plus the /8's directory of 2^16 page
+  // pointers; the 2^24-address prefix itself costs nothing.
+  const std::size_t directory = (std::size_t{1} << 16) * sizeof(void*);
+  const std::size_t page = 256 * sizeof(void*);
+  EXPECT_EQ(wide.owner_table_bytes(), directory + page);
+  wide.attach(Ipv4::from_octets(10, 200, 3, 5), &b);  // same /24
+  EXPECT_EQ(wide.owner_table_bytes(), directory + page);
+  EXPECT_EQ(wide.owner(Ipv4::from_octets(10, 200, 3, 4)), &a);
+  EXPECT_EQ(wide.owner(Ipv4::from_octets(10, 200, 3, 5)), &b);
+  EXPECT_EQ(wide.owner(Ipv4::from_octets(10, 200, 4, 4)), nullptr);
+  EXPECT_EQ(wide.owner(Ipv4::from_octets(10, 255, 255, 255)), nullptr);
+}
+
+TEST_F(NetworkOwnerTable, ShortInternalPrefixUsesTheMap) {
+  // A prefix shorter than /8 would need a directory proportional to its
+  // size, so its exact owners live in the map instead.
+  Network wide(sim, {Prefix(Ipv4::from_octets(16, 0, 0, 0), 4)});
+  SinkRecorder host;
+  const Ipv4 addr = Ipv4::from_octets(20, 1, 2, 3);
+  wide.attach(addr, &host);
+  EXPECT_TRUE(wide.is_internal(addr));
+  EXPECT_EQ(wide.owner(addr), &host);
+  EXPECT_EQ(wide.owner_table_bytes(), 0u);
 }
 
 }  // namespace
