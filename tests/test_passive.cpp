@@ -396,7 +396,8 @@ TEST(ScanDetectorDifferential, FlagsMatchThePerSourceSetDetector) {
     // Small pools so pairs repeat and thresholds are crossed; internal
     // hosts span both prefixes.
     const auto external = [&] {
-      return Ipv4::from_octets(66, 1, 0, static_cast<std::uint8_t>(rng.below(16)));
+      return Ipv4::from_octets(66, 1, 0,
+                               static_cast<std::uint8_t>(rng.below(16)));
     };
     const auto internal = [&] {
       return rng.chance(0.8)
