@@ -80,7 +80,7 @@ int run() {
       });
   std::uint64_t fixed_probes = 0;
   for (const auto& scan : results[0].engine->prober().scans()) {
-    fixed_probes += scan.outcomes.size();
+    fixed_probes += scan.probes();
   }
 
   analysis::TextTable table({"mode", "probes", "vs fixed", "services",
@@ -95,7 +95,7 @@ int run() {
     }
     const auto& prober = r.engine->prober();
     std::uint64_t probes = 0;
-    for (const auto& scan : prober.scans()) probes += scan.outcomes.size();
+    for (const auto& scan : prober.scans()) probes += scan.probes();
     std::size_t covered = 0;
     for (const auto& key : fixed_keys) {
       if (prober.table().find(key) != nullptr) ++covered;

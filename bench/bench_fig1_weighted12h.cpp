@@ -30,7 +30,7 @@ int run() {
       campaign.e().monitor().table(), cutoff);
   const auto active_times = core::address_times_from_scans(
       campaign.e().prober().scans(),
-      [](const active::ScanRecord& s) { return s.index == 0; });
+      [](const active::ScanSummary& s) { return s.index == 0; });
 
   const auto passive = core::weighted_curves(passive_times, weights);
   const auto active = core::weighted_curves(active_times, weights);

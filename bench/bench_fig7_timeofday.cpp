@@ -37,16 +37,16 @@ int run() {
   // Scans alternate 11:00 (even index) / 23:00 (odd index).
   struct Subset {
     const char* name;
-    std::function<bool(const active::ScanRecord&)> pred;
+    std::function<bool(const active::ScanSummary&)> pred;
   };
   const Subset subsets[] = {
       {"every 24h day (11:00)",
-       [](const active::ScanRecord& s) { return s.index % 2 == 0; }},
+       [](const active::ScanSummary& s) { return s.index % 2 == 0; }},
       {"every 24h night (23:00)",
-       [](const active::ScanRecord& s) { return s.index % 2 == 1; }},
+       [](const active::ScanSummary& s) { return s.index % 2 == 1; }},
       {"alternating day/night",
-       [](const active::ScanRecord& s) { return s.index % 4 < 2 ? s.index % 4 == 0 : s.index % 4 == 3; }},
-      {"every 12h (all 35)", [](const active::ScanRecord&) { return true; }},
+       [](const active::ScanSummary& s) { return s.index % 4 < 2 ? s.index % 4 == 0 : s.index % 4 == 3; }},
+      {"every 12h (all 35)", [](const active::ScanSummary&) { return true; }},
   };
 
   analysis::TextTable table({"schedule", "scans", "servers found",

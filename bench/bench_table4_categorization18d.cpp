@@ -28,7 +28,7 @@ int run() {
       core::addresses_found(campaign.e().monitor().table(), boundary);
   const auto active_12h = core::address_times_from_scans(
       campaign.e().prober().scans(),
-      [](const active::ScanRecord& s) { return s.index == 0; });
+      [](const active::ScanSummary& s) { return s.index == 0; });
 
   // Subsequent view. For addresses not yet known, any later passive
   // discovery counts (including sweep-elicited ones). For addresses
@@ -50,7 +50,7 @@ int run() {
       });
   const auto active_later = core::address_times_from_scans(
       campaign.e().prober().scans(),
-      [](const active::ScanRecord& s) { return s.index >= 1; });
+      [](const active::ScanSummary& s) { return s.index >= 1; });
 
   core::ExtendedCategorization categorization;
   for (const net::Ipv4 addr : campaign.c().scan_targets()) {

@@ -1,6 +1,7 @@
 // Table 7: UDP service discovery (DUDP): 24 hours of passive monitoring
 // plus one generic UDP scan of ports 80/53/137/27015.
 #include <cstdio>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -17,6 +18,12 @@ int run() {
       bench::make_campaign(workload::CampusConfig::dudp(), engine_cfg);
   bench::print_header("Table 7: UDP services discovered (DUDP)", campaign);
 
+  // The scan's outcomes are readable only from its completion hook.
+  std::optional<active::ScanRecord> first_scan;
+  campaign.e().scheduler()->on_scan_complete =
+      [&](const active::ScanRecord& record) {
+        if (!first_scan) first_scan = record;
+      };
   bench::Stopwatch watch;
   campaign.e().run();
   // The UDP scan of 4 ports x ~15.6k addresses outlasts the 24-h passive
@@ -26,11 +33,11 @@ int run() {
   }
   watch.report("DUDP campaign");
 
-  if (campaign.e().prober().scans().empty()) {
+  if (!first_scan) {
     std::fprintf(stderr, "no scan completed\n");
     return 1;
   }
-  const auto& scan = campaign.e().prober().scans().front();
+  const active::ScanRecord& scan = *first_scan;
 
   const auto& ports = campaign.c().udp_ports();
   std::unordered_map<net::Port, std::uint64_t> open, possible, closed,

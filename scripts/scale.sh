@@ -16,9 +16,16 @@
 #     at least one scan burst (tiny's external scanner fleet), and the
 #     sketch layer must stay O(services) next to the RSS ceiling the
 #     suite already asserts.
-#  4. One scale1m scan with the adaptive prober (DESIGN.md §16): its
-#     ranking must keep it within 2x the step-2 fixed sweep's wall time,
-#     with the CLI's peak RSS under a 320 MB ceiling (~226 MB measured).
+#  4. The adaptive prober against the fixed sweep on one scale1m scan
+#     (DESIGN.md §16): three interleaved fixed/adaptive pairs, every
+#     pair's wall-time ratio printed, and the median ratio must stay
+#     within 2x (one pair alone read 1.70-1.99x on a shared 4-core VM).
+#     Each adaptive run's peak RSS stays under a 320 MB ceiling (~228 MB
+#     measured).
+#  5. Campaign memory bounded by services, not by scan count (DESIGN.md
+#     §16, "Scan-record lifecycle"): `run --scenario dtcp1_90d` at 180
+#     and 360 days (360 and 720 scans). The 360-day peak RSS must stay
+#     under 128 MB and exceed the 180-day one by less than 24 MB.
 #
 # Usage: scripts/scale.sh
 set -euo pipefail
@@ -99,20 +106,57 @@ fi
 echo "scale: streaming sketches $sketch_bytes bytes for $services services" \
   "(budget $budget)"
 
-echo "== scale: scale1m --prober=adaptive, time and RSS bound =="
-a1="$(mktemp)"
-trap 'rm -f "$out1" "$out2" "$s1" "$s2" "$s4" "$summary" "$a1"' EXIT
-rss_a="$(peak_rss_kb ./build/tools/svcdisc_cli campaign --scenario scale1m \
-  --seeds 1 --scans 1 --threads 1 --prober=adaptive --json "$a1")"
-check_rss "adaptive prober" "$rss_a" 320
-wall_of() { sed -n 's/.*"wall_sec": *\([0-9.]*\).*/\1/p' "$1" | head -n 1; }
-python3 - "$(wall_of "$out1")" "$(wall_of "$a1")" <<'PY'
-import sys
-fixed, adaptive = float(sys.argv[1]), float(sys.argv[2])
-print(f"scale: adaptive {adaptive:.2f} s vs fixed {fixed:.2f} s "
-      f"({adaptive / fixed:.2f}x)")
-if adaptive > 2 * fixed:
+echo "== scale: scale1m --prober=adaptive vs fixed, 3 interleaved pairs =="
+pairs="$(mktemp -d)"
+trap 'rm -f "$out1" "$out2" "$s1" "$s2" "$s4" "$summary"; rm -rf "$pairs"' EXIT
+for pair in 1 2 3; do
+  # Alternate which side runs first, so drift on a shared host does not
+  # always favour the same side.
+  order="fixed adaptive"
+  if [ "$pair" -eq 2 ]; then order="adaptive fixed"; fi
+  for side in $order; do
+    json="$pairs/$side.$pair.json"
+    if [ "$side" = fixed ]; then
+      ./build/tools/svcdisc_cli campaign --scenario scale1m --seeds 1 \
+        --scans 1 --threads 1 --json "$json" >/dev/null
+    else
+      rss_a="$(peak_rss_kb ./build/tools/svcdisc_cli campaign \
+        --scenario scale1m --seeds 1 --scans 1 --threads 1 \
+        --prober=adaptive --json "$json")"
+      check_rss "adaptive prober, pair $pair" "$rss_a" 320
+    fi
+  done
+done
+python3 - "$pairs" <<'PY'
+import json, os, statistics, sys
+def wall(path):
+    with open(path) as f:
+        return float(json.load(f)["campaigns"][0]["wall_sec"])
+ratios = []
+for pair in (1, 2, 3):
+    fixed = wall(os.path.join(sys.argv[1], "fixed.%d.json" % pair))
+    adaptive = wall(os.path.join(sys.argv[1], "adaptive.%d.json" % pair))
+    ratios.append(adaptive / fixed)
+    print(f"scale: pair {pair}: adaptive {adaptive:.2f} s vs fixed "
+          f"{fixed:.2f} s ({ratios[-1]:.2f}x)")
+median = statistics.median(ratios)
+print(f"scale: median adaptive/fixed ratio {median:.2f}x (bound 2x)")
+if median > 2:
     sys.exit("scale: FAIL (adaptive prober slower than 2x the fixed sweep)")
 PY
+
+echo "== scale: dtcp1_90d at 180 and 360 days, campaign memory bound =="
+rss180="$(peak_rss_kb ./build/tools/svcdisc_cli run --scenario dtcp1_90d \
+  --days 180)"
+echo "scale: dtcp1_90d, 180 days peak RSS $(( rss180 / 1024 )) MB"
+rss360="$(peak_rss_kb ./build/tools/svcdisc_cli run --scenario dtcp1_90d \
+  --days 360)"
+check_rss "dtcp1_90d, 360 days" "$rss360" 128
+growth_kb=$(( rss360 - rss180 ))
+echo "scale: 180 -> 360 days grew $(( growth_kb / 1024 )) MB (bound 24 MB)"
+if [ "$growth_kb" -ge $(( 24 * 1024 )) ]; then
+  echo "scale: FAIL (campaign memory grows with scan count)" >&2
+  exit 1
+fi
 
 echo "scale: OK"

@@ -27,6 +27,75 @@ std::vector<passive::ServiceKey> ScanRecord::open_services() const {
 }
 
 // ---------------------------------------------------------------------------
+// ScanSummary
+// ---------------------------------------------------------------------------
+
+ScanSummary ScanSummary::of(const ScanRecord& record,
+                            const passive::ServiceTable* known) {
+  ScanSummary summary;
+  summary.index = record.index;
+  summary.started = record.started;
+  summary.finished = record.finished;
+  summary.hosts_pinged = record.hosts_pinged;
+  summary.hosts_alive = record.hosts_alive;
+
+  // Per address: sent a RST to some TCP probe, and/or runs a TCP service
+  // `known` has discovered. Only unanswered TCP probes to flagged
+  // addresses can feed the firewall confirmation. Most unanswered probes
+  // go to dark addresses, so this small map screens them before the
+  // large table is asked about a key.
+  constexpr std::uint8_t kRst = 1, kKnown = 2;
+  util::FlatMap<net::Ipv4, std::uint8_t> flags;
+  for (const ProbeOutcome& o : record.outcomes) {
+    ++summary.status_counts[static_cast<std::size_t>(o.status)];
+    if (o.status == ProbeStatus::kClosed && o.key.proto == net::Proto::kTcp) {
+      flags[o.key.addr] |= kRst;
+    }
+  }
+  if (known) {
+    known->for_each([&](const passive::ServiceKey& key,
+                        const passive::ServiceRecord&) {
+      if (key.proto == net::Proto::kTcp) flags[key.addr] |= kKnown;
+    });
+  }
+
+  summary.opens.reserve(summary.count(ProbeStatus::kOpen) +
+                        summary.count(ProbeStatus::kOpenUdp));
+  util::FlatSet<net::Ipv4> mixed;
+  for (const ProbeOutcome& o : record.outcomes) {
+    if (o.status == ProbeStatus::kOpen || o.status == ProbeStatus::kOpenUdp) {
+      summary.opens.push_back({o.key, o.when});
+    } else if (o.status == ProbeStatus::kFiltered && !flags.empty() &&
+               o.key.proto == net::Proto::kTcp) {
+      const auto it = flags.find(o.key.addr);
+      if (it == flags.end()) continue;
+      if (it->second & kRst) mixed.insert(o.key.addr);
+      if ((it->second & kKnown) && known->contains(o.key)) {
+        summary.kept_filtered.push_back(o.key);
+      }
+    }
+  }
+  summary.mixed_tcp_addrs.reserve(mixed.size());
+  for (const net::Ipv4 addr : mixed) summary.mixed_tcp_addrs.push_back(addr);
+  std::sort(summary.mixed_tcp_addrs.begin(), summary.mixed_tcp_addrs.end());
+  summary.kept_filtered.shrink_to_fit();
+  return summary;
+}
+
+std::size_t ScanSummary::probes() const {
+  std::size_t total = 0;
+  for (const std::size_t n : status_counts) total += n;
+  return total;
+}
+
+std::vector<passive::ServiceKey> ScanSummary::open_services() const {
+  std::vector<passive::ServiceKey> open;
+  open.reserve(opens.size());
+  for (const OpenService& o : opens) open.push_back(o.key);
+  return open;
+}
+
+// ---------------------------------------------------------------------------
 // PendingIndex
 // ---------------------------------------------------------------------------
 
@@ -105,9 +174,14 @@ void ProberBase::begin_scan_record(
   in_progress_ = true;
   spec_ = std::move(spec);
   on_complete_ = std::move(on_complete);
-  current_ = ScanRecord{};
+  // Reset field by field: the outcome buffer keeps the capacity earlier
+  // scans grew it to.
   current_.index = static_cast<int>(scans_.size());
   current_.started = network_.simulator().now();
+  current_.finished = {};
+  current_.outcomes.clear();
+  current_.hosts_pinged = 0;
+  current_.hosts_alive = 0;
   // One async span per scan round: begin here, end in finish_scan_record.
   util::trace::async_begin("prober.scan",
                            static_cast<std::uint64_t>(current_.index) + 1,
@@ -131,12 +205,18 @@ void ProberBase::finish_scan_record() {
                          static_cast<std::uint64_t>(current_.index) + 1,
                          current_.finished.usec);
   in_progress_ = false;
-  scans_.push_back(std::move(current_));
+  scans_.push_back(ScanSummary::of(current_, keep_filtered_known_to));
   if (m_scans_) m_scans_->inc();
   SVCDISC_LOG(kInfo) << "scan " << scans_.back().index << " finished: "
                      << scans_.back().count(ProbeStatus::kOpen)
                      << " open TCP services";
-  if (on_complete_) on_complete_(scans_.back());
+  // The hook is the last reader of the outcomes. Taking it out first
+  // lets it start the next scan without replacing itself mid-call.
+  if (auto hook = std::exchange(on_complete_, {})) hook(current_);
+}
+
+void ProberBase::release_scan_buffer() {
+  if (!in_progress_) current_.outcomes = {};
 }
 
 void ProberBase::reset_buckets() {

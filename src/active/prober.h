@@ -19,6 +19,7 @@
 //     priors and LZR-style verification (active/adaptive_prober.h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -61,7 +62,11 @@ struct ProbeOutcome {
   util::TimePoint when{};
 };
 
-/// One completed scan's results.
+/// One scan's full results: every probe outcome. Only the scan in flight
+/// holds one; the completion hook (ProberBase::start_scan's
+/// `on_complete`) is the one place a finished scan's outcomes can be
+/// read, after which the prober keeps just its ScanSummary (DESIGN.md
+/// §16, "Scan-record lifecycle").
 struct ScanRecord {
   int index{0};
   util::TimePoint started{};
@@ -74,6 +79,50 @@ struct ScanRecord {
   /// Count of outcomes with the given status.
   std::size_t count(ProbeStatus status) const;
   /// Services found open (TCP open or UDP definitely open) in this scan.
+  std::vector<passive::ServiceKey> open_services() const;
+};
+
+/// A service one scan found open, stamped as its ProbeOutcome::when.
+struct OpenService {
+  passive::ServiceKey key;
+  util::TimePoint when{};
+};
+
+/// What a finished scan keeps once its outcomes are freed: sized by the
+/// services it found, not by the probes it sent (a `dtcp1` scan's 78,090
+/// outcomes fold into ~3,000 opens, ~51 KB).
+struct ScanSummary {
+  static constexpr std::size_t kStatuses =
+      static_cast<std::size_t>(ProbeStatus::kPending) + 1;
+
+  int index{0};
+  util::TimePoint started{};
+  util::TimePoint finished{};
+  std::uint32_t hosts_pinged{0};
+  std::uint32_t hosts_alive{0};
+  /// Outcome count per ProbeStatus, indexed by its value.
+  std::array<std::size_t, kStatuses> status_counts{};
+  /// kOpen and kOpenUdp outcomes, in probe order.
+  std::vector<OpenService> opens;
+  /// Firewall confirmation inputs (core/firewall_confirm.h). Addresses
+  /// that answered one TCP probe with a RST and left another unanswered,
+  /// ascending.
+  std::vector<net::Ipv4> mixed_tcp_addrs;
+  /// The kFiltered outcomes whose service the fold's `known` table had
+  /// discovered, in probe order.
+  std::vector<passive::ServiceKey> kept_filtered;
+
+  /// Folds a finished record. kept_filtered holds the unanswered TCP
+  /// probes of services `known` has discovered; null keeps none.
+  static ScanSummary of(const ScanRecord& record,
+                        const passive::ServiceTable* known = nullptr);
+
+  std::size_t count(ProbeStatus status) const {
+    return status_counts[static_cast<std::size_t>(status)];
+  }
+  /// Probes the scan sent: its outcome count.
+  std::size_t probes() const;
+  /// Services found open in this scan, in probe order.
   std::vector<passive::ServiceKey> open_services() const;
 };
 
@@ -217,7 +266,7 @@ struct ProberConfig {
 };
 
 /// Shared plumbing of the fixed and adaptive probers: network
-/// attachment, the cumulative discovery table, completed-scan records,
+/// attachment, the cumulative discovery table, completed-scan summaries,
 /// discovery callbacks, probe bookkeeping and the base metric set.
 /// Derived classes implement start_scan / on_packet / on_timer — the
 /// scan strategy — on top of the protected state below.
@@ -229,15 +278,24 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   ProberBase(const ProberBase&) = delete;
   ProberBase& operator=(const ProberBase&) = delete;
 
-  /// Starts a scan; `on_complete` fires when every probe has resolved.
+  /// Starts a scan; `on_complete` fires when every probe has resolved,
+  /// with the full record: the only view of the scan's outcomes. The
+  /// record is valid until the hook returns or starts another scan.
   /// Only one scan may be in flight at a time.
   virtual void start_scan(
       ScanSpec spec, std::function<void(const ScanRecord&)> on_complete = {}) = 0;
 
   bool scan_in_progress() const { return in_progress_; }
 
-  /// All completed scans, oldest first.
-  const std::vector<ScanRecord>& scans() const { return scans_; }
+  /// Every completed scan's summary, oldest first. A scan's summary is
+  /// already here when its completion hook fires.
+  const std::vector<ScanSummary>& scans() const { return scans_; }
+
+  /// Each summary keeps the unanswered TCP probes of services this table
+  /// has discovered by the scan's end (ScanSummary::kept_filtered, for
+  /// firewall confirmation's activity method). Not owned; null (the
+  /// default) keeps none.
+  const passive::ServiceTable* keep_filtered_known_to{nullptr};
 
   /// Cumulative first-open discoveries across all scans (drives the
   /// active discovery curves).
@@ -260,6 +318,11 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   virtual void attach_metrics(util::MetricsRegistry& registry,
                               std::string_view prefix);
 
+  /// Frees the outcome buffer that finished scans leave for the next one
+  /// to reuse (a `scale1m` sweep's is ~126 MB). No-op while a scan is in
+  /// flight.
+  void release_scan_buffer();
+
   /// Pending-index rehashes forced by a scan outgrowing its presized
   /// table (0 when every scan's estimate held).
   std::uint64_t pending_regrowths() const { return pending_.regrowths(); }
@@ -278,8 +341,10 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
                          std::uint64_t max_probes);
   /// Targets x (TCP + UDP ports) of `spec`, saturating.
   static std::uint64_t sweep_size(const ScanSpec& spec);
-  /// Closes the in-flight record: stamps finish time, appends to
-  /// scans(), bumps metrics and fires on_complete.
+  /// Closes the in-flight record: stamps finish time, appends its
+  /// summary to scans(), bumps metrics and fires on_complete with the
+  /// full record. The outcome buffer keeps its capacity for the next
+  /// scan, which clears it.
   void finish_scan_record();
 
   /// One fresh per-machine pacing bucket per source address (burst 1
@@ -303,7 +368,7 @@ class ProberBase : public sim::PacketSink, public sim::TimerTarget {
   sim::Network& network_;
   ProberConfig config_;
   passive::ServiceTable table_;
-  std::vector<ScanRecord> scans_;
+  std::vector<ScanSummary> scans_;
 
   // In-flight scan state shared by both strategies.
   bool in_progress_{false};

@@ -155,6 +155,14 @@ DiscoveryEngine::DiscoveryEngine(workload::Campus& campus, EngineConfig config)
         std::make_unique<active::Prober>(campus_.network(), prober_config);
   }
   if (metrics) prober_->attach_metrics(*metrics, "active");
+  if (!pipeline_) {
+    // Firewall confirmation's activity method matches a scan's
+    // unanswered TCP probes against the combined monitor's table, so
+    // each summary keeps the ones that table has discovered by the scan's
+    // end. The sharded engine fills the table only at the end of run and
+    // keeps none (DESIGN.md §16, "Scan-record lifecycle").
+    prober_->keep_filtered_known_to = &monitor_->table();
+  }
   if (metrics) campus_.simulator().attach_metrics(*metrics, "sim");
   if (config_.provenance || config_.streaming) {
     // The prober callback fires on the simulator thread; streaming sees
@@ -289,6 +297,9 @@ void DiscoveryEngine::run() {
     // conservation ledger balances (held == 0 after a campaign).
     for (auto& imp : impairments_) imp->flush();
   }
+  // No scan follows the campaign: hand the reusable outcome buffer back
+  // before the caller's analysis allocates.
+  prober_->release_scan_buffer();
   if (pipeline_) {
     SVCDISC_TRACE_SPAN("engine.merge");
     pipeline_->finish(*monitor_, excluded_monitor_.get(),

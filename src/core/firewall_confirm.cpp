@@ -1,7 +1,5 @@
 #include "core/firewall_confirm.h"
 
-#include <unordered_map>
-
 namespace svcdisc::core {
 
 std::unordered_set<net::Ipv4> FirewallConfirmation::confirmed() const {
@@ -17,33 +15,27 @@ std::unordered_set<net::Ipv4> FirewallConfirmation::confirmed() const {
 FirewallConfirmation confirm_firewalls(
     const std::unordered_set<net::Ipv4>& passive_only_addresses,
     const passive::ServiceTable& passive_table,
-    std::span<const active::ScanRecord> scans) {
+    std::span<const active::ScanSummary> scans) {
   FirewallConfirmation result;
   result.candidates = passive_only_addresses;
 
-  for (const active::ScanRecord& scan : scans) {
-    // Per candidate, per scan: did we see both a RST and silence?
-    std::unordered_map<net::Ipv4, std::uint8_t> seen;  // bit0 RST, bit1 drop
-    for (const active::ProbeOutcome& outcome : scan.outcomes) {
-      if (!result.candidates.contains(outcome.key.addr)) continue;
-      if (outcome.key.proto != net::Proto::kTcp) continue;
-      auto& bits = seen[outcome.key.addr];
-      if (outcome.status == active::ProbeStatus::kClosed) bits |= 1;
-      if (outcome.status == active::ProbeStatus::kFiltered) {
-        bits |= 2;
-        // Method 2: activity on this exact service observed while the
-        // scan was running.
-        const passive::ServiceKey key = outcome.key;
-        if (const passive::ServiceRecord* record = passive_table.find(key)) {
-          if (record->last_activity >= scan.started &&
-              record->first_seen <= scan.finished) {
-            result.by_activity.insert(key.addr);
-          }
-        }
+  for (const active::ScanSummary& scan : scans) {
+    // Method 1: a RST from one port and silence from another in one scan.
+    for (const net::Ipv4 addr : scan.mixed_tcp_addrs) {
+      if (result.candidates.contains(addr)) {
+        result.by_mixed_response.insert(addr);
       }
     }
-    for (const auto& [addr, bits] : seen) {
-      if (bits == 3) result.by_mixed_response.insert(addr);
+    // Method 2: activity on an unanswered service observed while the scan
+    // was running.
+    for (const passive::ServiceKey& key : scan.kept_filtered) {
+      if (!result.candidates.contains(key.addr)) continue;
+      if (const passive::ServiceRecord* record = passive_table.find(key)) {
+        if (record->last_activity >= scan.started &&
+            record->first_seen <= scan.finished) {
+          result.by_activity.insert(key.addr);
+        }
+      }
     }
   }
   return result;

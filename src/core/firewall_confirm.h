@@ -7,6 +7,13 @@
 //   2. passive activity observed during a scan whose probes to the same
 //     service got no response — the server was demonstrably available
 //     while ignoring the prober.
+//
+// Both read scan summaries, not full records: method 1 their mixed
+// RST/silence addresses, method 2 their kept unanswered TCP probes. The
+// serial engine keeps the probes of services the combined monitor had
+// discovered when the scan finished: every probe method 2 can match
+// against that table, unless a discovery made after the scan is stamped
+// before its end (DESIGN.md §16, "Scan-record lifecycle").
 #pragma once
 
 #include <span>
@@ -30,6 +37,6 @@ struct FirewallConfirmation {
 FirewallConfirmation confirm_firewalls(
     const std::unordered_set<net::Ipv4>& passive_only_addresses,
     const passive::ServiceTable& passive_table,
-    std::span<const active::ScanRecord> scans);
+    std::span<const active::ScanSummary> scans);
 
 }  // namespace svcdisc::core

@@ -30,20 +30,16 @@ std::unordered_set<net::Ipv4> addresses_found(
 }
 
 std::unordered_map<net::Ipv4, util::TimePoint> address_times_from_scans(
-    std::span<const active::ScanRecord> scans,
-    const std::function<bool(const active::ScanRecord&)>& scan_pred,
+    std::span<const active::ScanSummary> scans,
+    const std::function<bool(const active::ScanSummary&)>& scan_pred,
     const ServiceFilter& filter) {
   std::unordered_map<net::Ipv4, util::TimePoint> times;
-  for (const active::ScanRecord& scan : scans) {
+  for (const active::ScanSummary& scan : scans) {
     if (scan_pred && !scan_pred(scan)) continue;
-    for (const active::ProbeOutcome& outcome : scan.outcomes) {
-      if (outcome.status != active::ProbeStatus::kOpen &&
-          outcome.status != active::ProbeStatus::kOpenUdp) {
-        continue;
-      }
-      if (!filter.accepts(outcome.key)) continue;
-      const auto [it, inserted] = times.emplace(outcome.key.addr, outcome.when);
-      if (!inserted && outcome.when < it->second) it->second = outcome.when;
+    for (const active::OpenService& open : scan.opens) {
+      if (!filter.accepts(open.key)) continue;
+      const auto [it, inserted] = times.emplace(open.key.addr, open.when);
+      if (!inserted && open.when < it->second) it->second = open.when;
     }
   }
   return times;

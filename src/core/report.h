@@ -49,8 +49,8 @@ std::unordered_set<net::Ipv4> addresses_found(
 /// Earliest per-address open time across a subset of scans; `scan_pred`
 /// selects which scans participate (time-of-day/frequency studies, §5.1).
 std::unordered_map<net::Ipv4, util::TimePoint> address_times_from_scans(
-    std::span<const active::ScanRecord> scans,
-    const std::function<bool(const active::ScanRecord&)>& scan_pred,
+    std::span<const active::ScanSummary> scans,
+    const std::function<bool(const active::ScanSummary&)>& scan_pred,
     const ServiceFilter& filter = {});
 
 /// Per-address activity weights accumulated over a whole campaign:

@@ -103,11 +103,17 @@ class FieldReader {
     *out = static_cast<std::uint64_t>(v->as_integer());
   }
 
-  void read_double(const char* key, double* out) {
+  /// A finite number in [min, max]. NaN, infinities (1e400 parses as
+  /// one) and out-of-range values fail, naming the field and the range.
+  void read_double(const char* key, double* out, double min, double max) {
     const util::JsonValue* v = take(key);
     if (!v) return;
-    if (!v->is_number()) {
-      fail(key, "a number");
+    if (!v->is_number() || !std::isfinite(v->as_number()) ||
+        v->as_number() < min || v->as_number() > max) {
+      char expected[96];
+      std::snprintf(expected, sizeof expected, "a finite number in [%g, %g]",
+                    min, max);
+      fail(key, expected);
       return;
     }
     *out = v->as_number();
@@ -194,6 +200,30 @@ class FieldReader {
   std::unordered_set<std::string> seen_;
 };
 
+// Ranges of the campus's floating-point knobs. A fraction is a
+// probability in [0, 1]. Every other knob is finite, non-negative and
+// capped by what it can cost a campaign:
+//   * traffic_scale multiplies every flow rate, so border events grow
+//     linearly with it: 100x the calibrated traffic (an 18-day dtcp1
+//     campaign is ~12 M events at 1) is the most one campaign may ask;
+//   * probe_rate_per_sec paces one probe per 1/rate s per machine and
+//     never adds events (a scan sends its targets x ports either way).
+//     The clock ticks in microseconds, so 1e6/s is the fastest pace it
+//     can represent; below one probe per 1,000 s a 16k-address sweep
+//     would outlast any campaign, and the bucket needs a rate > 0;
+//   * tarpit_delay_sec holds each tarpit SYN-ACK as one queued event
+//     however long the delay; a day keeps every held reply inside a
+//     campaign instead of parked past its end;
+//   * day offsets and outage hours each schedule one event per affected
+//     host; ten years keeps every derived time far inside the int64
+//     microsecond clock.
+constexpr double kMaxTrafficScale = 100.0;
+constexpr double kMinProbeRate = 1e-3;
+constexpr double kMaxProbeRate = 1e6;
+constexpr double kMaxTarpitDelaySec = 86400.0;
+constexpr double kMaxDays = 3650.0;
+constexpr double kMaxHours = kMaxDays * 24.0;
+
 bool apply_campus_overrides(const util::JsonValue& obj,
                             workload::CampusConfig* cfg,
                             std::string* error) {
@@ -215,33 +245,36 @@ bool apply_campus_overrides(const util::JsonValue& obj,
   r.read_u32("hot_services", &cfg->hot_services);
   r.read_u32("steady_services", &cfg->steady_services);
   r.read_u32("oneshot_services", &cfg->oneshot_services);
-  r.read_double("traffic_scale", &cfg->traffic_scale);
+  r.read_double("traffic_scale", &cfg->traffic_scale, 0.0, kMaxTrafficScale);
   r.read_bool("external_scans", &cfg->external_scans);
   r.read_u32("small_sweeps", &cfg->small_sweeps);
   r.read_u32("prober_machines", &cfg->prober_machines);
-  r.read_double("probe_rate_per_sec", &cfg->probe_rate_per_sec);
+  r.read_double("probe_rate_per_sec", &cfg->probe_rate_per_sec, kMinProbeRate,
+                kMaxProbeRate);
   r.read_bool("transient_blocks", &cfg->transient_blocks);
   r.read_bool("include_wireless_in_scan", &cfg->include_wireless_in_scan);
   // Hostile-network zoo.
   r.read_u32("middlebox_hosts", &cfg->middlebox_hosts);
   r.read_u32("tarpit_hosts", &cfg->tarpit_hosts);
-  r.read_double("tarpit_delay_sec", &cfg->tarpit_delay_sec);
+  r.read_double("tarpit_delay_sec", &cfg->tarpit_delay_sec, 0.0,
+                kMaxTarpitDelaySec);
   r.read_u32("cgnat_hosts", &cfg->cgnat_hosts);
   r.read_u32("cgnat_addresses", &cfg->cgnat_addresses);
-  r.read_double("cgnat_service_frac", &cfg->cgnat_service_frac);
+  r.read_double("cgnat_service_frac", &cfg->cgnat_service_frac, 0.0, 1.0);
   r.read_u32("iot_burst_hosts", &cfg->iot_burst_hosts);
-  r.read_double("iot_burst_day", &cfg->iot_burst_day);
-  r.read_double("iot_churn_frac", &cfg->iot_churn_frac);
+  r.read_double("iot_burst_day", &cfg->iot_burst_day, 0.0, kMaxDays);
+  r.read_double("iot_churn_frac", &cfg->iot_churn_frac, 0.0, 1.0);
   r.read_u32("outage_hosts", &cfg->outage_hosts);
-  r.read_double("outage_day", &cfg->outage_day);
-  r.read_double("outage_duration_hours", &cfg->outage_duration_hours);
+  r.read_double("outage_day", &cfg->outage_day, 0.0, kMaxDays);
+  r.read_double("outage_duration_hours", &cfg->outage_duration_hours, 0.0,
+                kMaxHours);
   r.read_bool("outage_renumber", &cfg->outage_renumber);
   // Internet-scale universe.
   r.read_u32("scale_blocks", &cfg->scale_blocks);
   r.read_int("scale_block_bits", &cfg->scale_block_bits);
-  r.read_double("scale_live_frac", &cfg->scale_live_frac);
-  r.read_double("scale_service_frac", &cfg->scale_service_frac);
-  r.read_double("scale_echo_frac", &cfg->scale_echo_frac);
+  r.read_double("scale_live_frac", &cfg->scale_live_frac, 0.0, 1.0);
+  r.read_double("scale_service_frac", &cfg->scale_service_frac, 0.0, 1.0);
+  r.read_double("scale_echo_frac", &cfg->scale_echo_frac, 0.0, 1.0);
   r.read_bool("scale_scan", &cfg->scale_scan);
   r.read_u32("scale_oneshot_contacts", &cfg->scale_oneshot_contacts);
   return r.reject_unknown();
@@ -291,11 +324,13 @@ bool apply_impairment(const util::JsonValue& obj, EngineConfig* cfg,
   double mean_burst_len = 4.0;
   std::uint64_t seed = 0x1347c0ffeeULL;
   r.read_string("model", &model);
-  r.read_double("rate_pct", &rate_pct);
-  r.read_double("mean_burst_len", &mean_burst_len);
+  r.read_double("rate_pct", &rate_pct, 0.0, 100.0);
+  // A burst of a million packets already outlasts a tiny campaign's
+  // border traffic.
+  r.read_double("mean_burst_len", &mean_burst_len, 1.0, 1e6);
   r.read_u64("seed", &seed);
   if (!r.reject_unknown()) return false;
-  if (rate_pct < 0 || rate_pct >= 100) {
+  if (rate_pct >= 100) {
     if (error) *error = "impairment.rate_pct: expected 0 <= pct < 100";
     return false;
   }

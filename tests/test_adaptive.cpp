@@ -634,8 +634,8 @@ TEST(AdaptiveCampaign, HalfBudgetKeepsNinetyPercentOfFixedDiscoveries) {
   core::DiscoveryEngine fixed(fixed_campus, engine_cfg);
   fixed.run();
   std::uint64_t fixed_probes = 0;
-  for (const ScanRecord& scan : fixed.prober().scans()) {
-    fixed_probes += scan.outcomes.size();
+  for (const ScanSummary& scan : fixed.prober().scans()) {
+    fixed_probes += scan.probes();
   }
   ASSERT_GT(fixed_probes, 0u);
 
@@ -703,20 +703,22 @@ TEST(AdaptiveCampaign, ArtifactsByteIdenticalAcrossThreadCounts) {
     engine_cfg.adaptive.probe_budget = 400;
     workload::Campus campus(cfg);
     core::DiscoveryEngine engine(campus, engine_cfg);
+    std::ostringstream outcomes;
+    engine.scheduler()->on_scan_complete = [&](const ScanRecord& scan) {
+      for (const ProbeOutcome& o : scan.outcomes) {
+        outcomes << o.key.addr.value() << ":" << o.key.port << "/"
+                 << static_cast<int>(o.key.proto) << " "
+                 << static_cast<int>(o.status) << " " << o.when.usec << "\n";
+      }
+    };
     engine.run();
     std::ostringstream out;
     passive::save_table(engine.prober().table(), out);
     out << "spent " << engine.adaptive_prober()->budget_spent_total()
         << " seeds " << engine.adaptive_prober()->seeds_probed_total()
         << " demoted " << engine.adaptive_prober()->demotions_total()
-        << "\n";
-    for (const ScanRecord& scan : engine.prober().scans()) {
-      for (const ProbeOutcome& o : scan.outcomes) {
-        out << o.key.addr.value() << ":" << o.key.port << "/"
-            << static_cast<int>(o.key.proto) << " "
-            << static_cast<int>(o.status) << " " << o.when.usec << "\n";
-      }
-    }
+        << "\n"
+        << outcomes.str();
     return out.str();
   };
   const std::string serial = run_with_threads(1);

@@ -18,6 +18,17 @@ using util::hours;
 using util::kEpoch;
 using util::minutes;
 
+/// Folds hand-built records the way the prober folds finished scans.
+std::vector<active::ScanSummary> summarize(
+    const std::vector<active::ScanRecord>& records,
+    const ServiceTable* known = nullptr) {
+  std::vector<active::ScanSummary> summaries;
+  for (const active::ScanRecord& record : records) {
+    summaries.push_back(active::ScanSummary::of(record, known));
+  }
+  return summaries;
+}
+
 Ipv4 addr(int i) {
   return Ipv4::from_octets(128, 125, static_cast<std::uint8_t>(i / 256),
                            static_cast<std::uint8_t>(i % 256));
@@ -114,10 +125,12 @@ TEST(Report, ScanTimesRespectPredicate) {
                                            ProbeStatus::kClosed,
                                            kEpoch + hours(13)});
 
-  const auto all = address_times_from_scans(scans, nullptr);
+  const auto summaries = summarize(scans);
+  const auto all = address_times_from_scans(summaries, nullptr);
   EXPECT_EQ(all.size(), 2u);  // closed outcome is not a discovery
   const auto odd_only = address_times_from_scans(
-      scans, [](const ScanRecord& s) { return s.index % 2 == 1; });
+      summaries,
+      [](const active::ScanSummary& s) { return s.index % 2 == 1; });
   EXPECT_EQ(odd_only.size(), 1u);
   EXPECT_TRUE(odd_only.contains(addr(2)));
 }
@@ -246,7 +259,8 @@ TEST(FirewallConfirm, MixedResponseMethod) {
       {{addr(1), net::Proto::kTcp, 80}, ProbeStatus::kFiltered,
        kEpoch + hours(1)},
   };
-  const auto result = confirm_firewalls(candidates, passive_table, scans);
+  const auto result =
+      confirm_firewalls(candidates, passive_table, summarize(scans));
   EXPECT_TRUE(result.by_mixed_response.contains(addr(1)));
   EXPECT_EQ(result.confirmed().size(), 1u);
 }
@@ -267,8 +281,9 @@ TEST(FirewallConfirm, ActivityDuringScanMethod) {
       {{addr(2), net::Proto::kTcp, 80}, ProbeStatus::kFiltered,
        kEpoch + hours(1)},
   };
-  const auto result =
-      confirm_firewalls({addr(2)}, passive_table, scans);
+  const auto result = confirm_firewalls(
+      {addr(2)}, passive_table,
+      summarize(scans, &passive_table));
   EXPECT_TRUE(result.by_activity.contains(addr(2)));
 }
 
@@ -286,7 +301,9 @@ TEST(FirewallConfirm, QuietCandidateUnconfirmed) {
       {{addr(3), net::Proto::kTcp, 22}, ProbeStatus::kFiltered,
        kEpoch + hours(1)},
   };
-  const auto result = confirm_firewalls({addr(3)}, passive_table, scans);
+  const auto result = confirm_firewalls(
+      {addr(3)}, passive_table,
+      summarize(scans, &passive_table));
   EXPECT_TRUE(result.confirmed().empty());
   EXPECT_EQ(result.candidates.size(), 1u);
 }

@@ -55,7 +55,7 @@ TEST_F(Campaign, AllScansCompleted) {
   EXPECT_EQ(engine_->prober().scans().size(), 4u);
   for (const auto& scan : engine_->prober().scans()) {
     EXPECT_GT(scan.finished.usec, scan.started.usec);
-    EXPECT_EQ(scan.outcomes.size(),
+    EXPECT_EQ(scan.probes(),
               campus_->scan_targets().size() * campus_->tcp_ports().size());
     EXPECT_EQ(scan.count(active::ProbeStatus::kPending), 0u);
   }

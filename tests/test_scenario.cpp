@@ -188,6 +188,70 @@ TEST_F(ScenarioTest, InRangeIntegersAreApplied) {
   EXPECT_EQ(spec.engine.scan_count, 2147483647);
 }
 
+TEST_F(ScenarioTest, OutOfRangeFloatsAreRejectedByName) {
+  // Fractions are probabilities; every other float is finite,
+  // non-negative and capped (traffic_scale -3 and tarpit_delay_sec 1e300
+  // used to run, traffic_scale 1e308 to run for ever, and a zero probe
+  // rate to fail late inside the token bucket).
+  const struct {
+    const char* block;
+    const char* field;
+    const char* value;
+  } cases[] = {
+      {"campus", "traffic_scale", "-3"},
+      {"campus", "traffic_scale", "1e308"},
+      {"campus", "traffic_scale", "1e400"},  // parses as infinity
+      {"campus", "traffic_scale", "\"2\""},
+      {"campus", "probe_rate_per_sec", "0"},
+      {"campus", "probe_rate_per_sec", "-7.5"},
+      {"campus", "probe_rate_per_sec", "2e6"},
+      {"campus", "tarpit_delay_sec", "1e300"},
+      {"campus", "tarpit_delay_sec", "-1"},
+      {"campus", "cgnat_service_frac", "1.5"},
+      {"campus", "iot_churn_frac", "-0.1"},
+      {"campus", "scale_live_frac", "7"},
+      {"campus", "scale_service_frac", "1.01"},
+      {"campus", "scale_echo_frac", "-1"},
+      {"campus", "iot_burst_day", "-1"},
+      {"campus", "iot_burst_day", "1e9"},
+      {"campus", "outage_day", "3651"},
+      {"campus", "outage_duration_hours", "-6"},
+      {"campus", "outage_duration_hours", "1e12"},
+      {"impairment", "rate_pct", "-1"},
+      {"impairment", "mean_burst_len", "0.5"},
+  };
+  for (const auto& c : cases) {
+    const std::string field = std::string(c.block) + "." + c.field;
+    SCOPED_TRACE(field + " = " + c.value);
+    write_spec(std::string(R"({"preset": "tiny", ")") + c.block +
+               R"(": {")" + c.field + R"(": )" + c.value + "}}");
+    ScenarioSpec spec;
+    std::string error;
+    EXPECT_FALSE(load_scenario(path(), &spec, &error));
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+}
+
+TEST_F(ScenarioTest, InRangeFloatsAreApplied) {
+  // The bounds themselves are accepted.
+  write_spec(R"({"preset": "tiny", "campus": {
+    "traffic_scale": 100, "probe_rate_per_sec": 1e6,
+    "tarpit_delay_sec": 0, "cgnat_service_frac": 1, "iot_churn_frac": 0,
+    "scale_live_frac": 1, "scale_service_frac": 0, "scale_echo_frac": 0.5,
+    "iot_burst_day": 3650, "outage_day": 0, "outage_duration_hours": 87600}})");
+  ScenarioSpec spec;
+  std::string error;
+  ASSERT_TRUE(load_scenario(path(), &spec, &error)) << error;
+  EXPECT_EQ(spec.campus.traffic_scale, 100.0);
+  EXPECT_EQ(spec.campus.probe_rate_per_sec, 1e6);
+  EXPECT_EQ(spec.campus.tarpit_delay_sec, 0.0);
+  EXPECT_EQ(spec.campus.cgnat_service_frac, 1.0);
+  EXPECT_EQ(spec.campus.scale_live_frac, 1.0);
+  EXPECT_EQ(spec.campus.scale_echo_frac, 0.5);
+  EXPECT_EQ(spec.campus.iot_burst_day, 3650.0);
+  EXPECT_EQ(spec.campus.outage_duration_hours, 87600.0);
+}
+
 TEST_F(ScenarioTest, UnknownPresetFails) {
   write_spec(R"({"preset": "huge"})");
   ScenarioSpec spec;

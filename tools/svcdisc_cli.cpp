@@ -343,6 +343,19 @@ int cmd_run(int argc, const char* const* argv) {
     engine.add_tap_consumer(writer.get());
   }
 
+  // Finished scans keep only summaries, so the report of the last scan
+  // is rendered as each scan completes and the latest one is kept.
+  std::string last_scan_report;
+  if (scan_report && engine.scheduler()) {
+    engine.scheduler()->on_scan_complete =
+        [&](const active::ScanRecord& record) {
+          active::ReportOptions options;
+          options.max_hosts = 20;
+          last_scan_report =
+              active::format_scan_report(record, campus.calendar(), options);
+        };
+  }
+
   engine.run();
 
   const auto end = util::kEpoch + campus.config().duration;
@@ -430,14 +443,7 @@ int cmd_run(int argc, const char* const* argv) {
                   streaming_path.c_str());
     }
   }
-  if (scan_report && !engine.prober().scans().empty()) {
-    active::ReportOptions options;
-    options.max_hosts = 20;
-    std::fputs(active::format_scan_report(engine.prober().scans().back(),
-                                          campus.calendar(), options)
-                   .c_str(),
-               stdout);
-  }
+  std::fputs(last_scan_report.c_str(), stdout);
   if (!trace_path.empty() && !finish_trace(trace_path)) return 1;
   if (!provenance_path.empty()) {
     // The ledger must agree 1:1 with the final tables — any drift means
