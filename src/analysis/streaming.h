@@ -4,10 +4,9 @@
 //
 // StreamingAnalytics is a PacketObserver attached (by DiscoveryEngine,
 // under EngineConfig::streaming) to every border tap, plus a probe-reply
-// hook fed by the prober. Both feeds run on the simulator (producer)
-// thread in simulated-time order, in serial and sharded mode alike, so
-// every streaming artifact is byte-identical at every --threads count by
-// construction.
+// hook fed by the prober. Both feeds run on the simulator thread in
+// simulated-time order, so every streaming artifact is a pure function
+// of the campaign's config and seed.
 //
 // It maintains:
 //   * global sketches — passive/active/union address HyperLogLogs (the
@@ -174,8 +173,8 @@ class StreamingAnalytics final : public sim::PacketObserver {
   /// O(services); independent of contacted-address count.
   std::size_t memory_bytes() const;
 
-  /// Snapshot rows as JSONL (stable field order and integer formatting —
-  /// the artifact scripts/scale.sh byte-compares across thread counts).
+  /// Snapshot rows as JSONL (stable field order and integer
+  /// formatting).
   std::string snapshots_jsonl() const;
   /// All change-points as JSONL, in detection order.
   std::string events_jsonl() const;

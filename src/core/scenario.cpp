@@ -510,11 +510,10 @@ bool load_scenario(const std::string& dir, ScenarioSpec* spec,
 }
 
 bool run_scenario(const ScenarioSpec& spec, ScenarioArtifacts* out,
-                  std::string* error, std::size_t threads) {
+                  std::string* error) {
   CampaignJob job;
   job.campus_cfg = spec.campus;
   job.engine_cfg = spec.engine;
-  job.engine_cfg.threads = threads;
   job.seed = spec.campus.seed;
   job.label = spec.name;
   job.provenance = true;

@@ -13,10 +13,6 @@
 //                        simulated time (discovery/flow rates for the
 //                        change-point detector).
 //
-// All three merge commutatively and associatively (HLL: element-wise
-// register max, CMS: element-wise add, DecayRate: decay-align then add),
-// which is what makes the sharded campaign's per-shard sketch merge
-// order-independent — and hence byte-identical at every --threads count.
 // Nothing here draws randomness: hashing is util::hash_mix over fixed
 // salts, so identical input streams produce identical sketch state.
 #pragma once
@@ -86,24 +82,6 @@ class HyperLogLog {
     return e <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(e));
   }
 
-  /// Element-wise register max: the merged sketch equals the sketch of
-  /// the concatenated streams, in any merge order. A disabled side is an
-  /// identity.
-  void merge(const HyperLogLog& other) {
-    if (!other.enabled()) return;
-    if (!enabled()) {
-      *this = other;
-      return;
-    }
-    // Mixed precisions never occur in this codebase; guard cheaply.
-    if (registers_.size() != other.registers_.size()) return;
-    for (std::size_t i = 0; i < registers_.size(); ++i) {
-      if (other.registers_[i] > registers_[i]) {
-        registers_[i] = other.registers_[i];
-      }
-    }
-  }
-
   std::size_t memory_bytes() const {
     return enabled() ? sizeof(*this) + registers_.capacity() : 0;
   }
@@ -162,20 +140,6 @@ class CountMinSketch {
   std::size_t width() const { return width_; }
   std::size_t depth() const { return depth_; }
 
-  /// Element-wise add; commutative, so shard merges are order-free.
-  void merge(const CountMinSketch& other) {
-    if (!other.enabled()) return;
-    if (!enabled()) {
-      *this = other;
-      return;
-    }
-    if (counts_.size() != other.counts_.size()) return;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      counts_[i] += other.counts_[i];
-    }
-    total_ += other.total_;
-  }
-
   std::size_t memory_bytes() const {
     return enabled() ? sizeof(*this) + counts_.capacity() * sizeof(std::uint64_t)
                      : 0;
@@ -200,7 +164,7 @@ class CountMinSketch {
 /// decays the accumulated mass by 2^(-(t-last)/half_life) and adds n;
 /// rate_per_sec(t) converts the decayed mass into an equivalent steady
 /// event rate. Pure arithmetic over the observation stream — same
-/// stream, same state, regardless of wall-clock or thread count.
+/// stream, same state, regardless of wall-clock.
 class DecayRate {
  public:
   DecayRate() = default;
@@ -228,15 +192,6 @@ class DecayRate {
   }
 
   TimePoint last_observed() const { return last_; }
-
-  /// Decay both sides to the later timestamp, then add masses. With a
-  /// shared half-life this is commutative, so shard merges don't care
-  /// about order.
-  void merge(const DecayRate& other) {
-    const TimePoint at = last_ < other.last_ ? other.last_ : last_;
-    decay_to(at);
-    mass_ += other.mass(at);
-  }
 
  private:
   static constexpr double kLn2 = 0.6931471805599453;

@@ -8,9 +8,12 @@
 // runner against those goldens through the same verify oracle the CLI
 // uses, so there is exactly one source of truth. Re-record with
 //   svcdisc_cli scenario record tests/scenarios/usc_tiny --force
+// The WorkerPool tests at the end cover the pool the runner schedules
+// jobs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "core/completeness.h"
 #include "core/report.h"
 #include "core/scenario.h"
+#include "core/worker_pool.h"
 #include "workload/campus.h"
 
 namespace svcdisc::core {
@@ -195,6 +199,46 @@ TEST(CampaignRunner, UscTinyScenarioPackMatchesGoldens) {
          "record "
       << dir << " --force`\n"
       << report.to_string();
+}
+
+// ---------------------------------------------------------------------
+// WorkerPool: the runner's job scheduler.
+
+TEST(WorkerPool, RunsEverySubmittedTask) {
+  WorkerPool pool(3);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 50; ++i) {
+    pool.submit([&ran] { ran.fetch_add(1); });
+  }
+  pool.help_until([&ran] { return ran.load() == 50; });
+  EXPECT_EQ(ran.load(), 50);
+}
+
+TEST(WorkerPool, HelpUntilParticipatesWithOneWorker) {
+  // A 1-worker pool with more tasks than workers: help_until must run
+  // tasks on the calling thread rather than just wait.
+  WorkerPool pool(1);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 20; ++i) {
+    pool.submit([&ran] { ran.fetch_add(1); });
+  }
+  pool.help_until([&ran] { return ran.load() == 20; });
+  EXPECT_EQ(ran.load(), 20);
+}
+
+TEST(WorkerPool, DestructorDrainsQueuedTasks) {
+  std::atomic<int> ran{0};
+  {
+    WorkerPool pool(2);
+    for (int i = 0; i < 30; ++i) {
+      pool.submit([&ran] { ran.fetch_add(1); });
+    }
+  }  // join implies drain: no submitted task may be dropped
+  EXPECT_EQ(ran.load(), 30);
+}
+
+TEST(WorkerPool, HardwareThreadsIsPositive) {
+  EXPECT_GE(WorkerPool::hardware_threads(), 1u);
 }
 
 }  // namespace

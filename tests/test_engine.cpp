@@ -2,6 +2,8 @@
 // per-link monitors, extra consumers, scan scheduling configuration.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "capture/pcap_file.h"
 #include "capture/sampler.h"
 #include "core/engine.h"
@@ -27,6 +29,17 @@ TEST(DiscoveryEngine, OneTapPerPeering) {
             campus.network().border().peering_count());
   EXPECT_EQ(engine.tap(0).name(), "commercial1");
   EXPECT_EQ(engine.tap(1).name(), "commercial2");
+}
+
+TEST(DiscoveryEngine, RejectsThreadsOtherThanOne) {
+  // The engine is serial; EngineConfig::threads survives only so that
+  // callers which set it to 1 keep compiling.
+  workload::Campus campus(fast_tiny());
+  EngineConfig cfg;
+  cfg.threads = 2;
+  EXPECT_THROW(DiscoveryEngine(campus, cfg), std::invalid_argument);
+  cfg.threads = 0;
+  EXPECT_THROW(DiscoveryEngine(campus, cfg), std::invalid_argument);
 }
 
 TEST(DiscoveryEngine, NoScansWhenDisabled) {

@@ -131,28 +131,6 @@ bool parse_or_usage(util::Flags& flags, int argc, const char* const* argv,
   return false;
 }
 
-// Shared --threads flag (engine shard count, DESIGN.md §13): registered
-// identically on every campaign-running subcommand so the flag reads the
-// same everywhere. 1 = classic serial engine, 0 = all hardware threads,
-// N >= 2 = sharded pipeline. Output is byte-identical at every value.
-void add_threads_flag(util::Flags& flags, std::int64_t* threads) {
-  flags.add_int64("threads",
-                  "engine shard threads per campaign "
-                  "(1 = serial, 0 = all hardware threads)",
-                  threads);
-}
-
-// Range check after parse (non-integer values already exit 2 inside
-// parse_or_usage).
-bool validate_threads(std::int64_t threads) {
-  if (threads < 0) {
-    std::fprintf(stderr, "error: --threads must be >= 0 (got %lld)\n",
-                 static_cast<long long>(threads));
-    return false;
-  }
-  return true;
-}
-
 // Shared prober-selection flags (run, campaign): the paper's fixed
 // exhaustive sweep, or the budgeted adaptive prober (DESIGN.md §16).
 void add_prober_flags(util::Flags& flags, std::string* prober,
@@ -254,7 +232,6 @@ int cmd_run(int argc, const char* const* argv) {
   std::string provenance_path;
   std::string log_level_text;
   std::string streaming_path;
-  std::int64_t threads = 1;
   bool scan_report = false;
   bool streaming = false;
   bool verbose = false;
@@ -290,7 +267,6 @@ int cmd_run(int argc, const char* const* argv) {
                    "write streaming snapshots + change-points (JSONL) here "
                    "(implies --streaming)",
                    &streaming_path);
-  add_threads_flag(flags, &threads);
   add_prober_flags(flags, &prober, &probe_budget, &no_verify);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
@@ -298,7 +274,6 @@ int cmd_run(int argc, const char* const* argv) {
     return exit_code;
   }
   if (!streaming_path.empty()) streaming = true;
-  if (!validate_threads(threads)) return 2;
   const Scenario* scenario = find_scenario(scenario_name);
   if (!scenario) {
     std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
@@ -319,7 +294,6 @@ int cmd_run(int argc, const char* const* argv) {
   engine_cfg.scan_count =
       scans >= 0 ? static_cast<int>(scans)
                  : static_cast<int>(cfg.duration.days() * 2);
-  engine_cfg.threads = static_cast<std::size_t>(threads);
   if (!apply_prober_flags(prober, probe_budget, no_verify, &engine_cfg)) {
     return 2;
   }
@@ -496,7 +470,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   std::string scenario_name = "tiny";
   std::string seeds_text = "1..4";
   std::int64_t jobs = 0;  // 0 = SVCDISC_JOBS env / hardware threads
-  std::int64_t threads = 1;
   std::int64_t scans = -1;
   double days = 0;
   std::string json_path;
@@ -516,7 +489,6 @@ int cmd_campaign(int argc, const char* const* argv) {
                    &seeds_text);
   flags.add_int64("jobs", "worker threads (0 = SVCDISC_JOBS or hardware)",
                   &jobs);
-  add_threads_flag(flags, &threads);
   flags.add_int64("scans", "number of 12-hourly scans (-1 = preset)",
                   &scans);
   flags.add_double("days", "override campaign duration in days", &days);
@@ -539,7 +511,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   if (!parse_or_usage(flags, argc, argv, 0, nullptr, &exit_code)) {
     return exit_code;
   }
-  if (!validate_threads(threads)) return 2;
   const Scenario* scenario = find_scenario(scenario_name);
   if (!scenario) {
     std::fprintf(stderr, "unknown scenario %s (try `scenarios`)\n",
@@ -562,7 +533,6 @@ int cmd_campaign(int argc, const char* const* argv) {
   engine_cfg.scan_count =
       scans >= 0 ? static_cast<int>(scans)
                  : static_cast<int>(cfg.duration.days() * 2);
-  engine_cfg.threads = static_cast<std::size_t>(threads);
   if (!apply_prober_flags(prober, probe_budget, no_verify, &engine_cfg)) {
     return 2;
   }
@@ -1325,17 +1295,14 @@ int cmd_scenario_list(int argc, const char* const* argv) {
 
 int cmd_scenario_run(int argc, const char* const* argv) {
   std::string log_level_text;
-  std::int64_t threads = 1;
   util::Flags flags("svcdisc_cli scenario run",
                     "run a scenario pack and print its artifacts");
-  add_threads_flag(flags, &threads);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
   if (!parse_or_usage(flags, argc, argv, 1,
                       "usage: scenario run <dir> [flags]\n", &exit_code)) {
     return exit_code;
   }
-  if (!validate_threads(threads)) return 2;
   if (!apply_log_level(log_level_text)) return 2;
   core::ScenarioSpec spec;
   std::string error;
@@ -1344,8 +1311,7 @@ int cmd_scenario_run(int argc, const char* const* argv) {
     return 2;
   }
   core::ScenarioArtifacts artifacts;
-  if (!core::run_scenario(spec, &artifacts, &error,
-                          static_cast<std::size_t>(threads))) {
+  if (!core::run_scenario(spec, &artifacts, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
@@ -1394,18 +1360,15 @@ int cmd_scenario_record(int argc, const char* const* argv) {
 
 int cmd_scenario_verify(int argc, const char* const* argv) {
   std::string log_level_text;
-  std::int64_t threads = 1;
   util::Flags flags("svcdisc_cli scenario verify",
                     "run a scenario pack and byte-compare against its "
                     "goldens");
-  add_threads_flag(flags, &threads);
   add_log_level_flag(flags, &log_level_text);
   int exit_code = 0;
   if (!parse_or_usage(flags, argc, argv, 1,
                       "usage: scenario verify <dir>\n", &exit_code)) {
     return exit_code;
   }
-  if (!validate_threads(threads)) return 2;
   if (!apply_log_level(log_level_text)) return 2;
   core::ScenarioSpec spec;
   std::string error;
@@ -1414,8 +1377,7 @@ int cmd_scenario_verify(int argc, const char* const* argv) {
     return 2;
   }
   core::ScenarioArtifacts artifacts;
-  if (!core::run_scenario(spec, &artifacts, &error,
-                          static_cast<std::size_t>(threads))) {
+  if (!core::run_scenario(spec, &artifacts, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }
